@@ -19,6 +19,7 @@ use dpaudit_datasets::Dataset;
 use dpaudit_dp::RdpAccountant;
 use dpaudit_math::{axpy, GaussianSampler};
 use dpaudit_nn::Sequential;
+use dpaudit_obs as obs;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -133,7 +134,9 @@ pub fn train_federated<R: Rng + ?Sized>(
     let union: Vec<_> = clients.iter().flat_map(|c| c.xs.iter().cloned()).collect();
 
     for round in 0..cfg.rounds {
+        let norm_stats_span = obs::span(obs::names::NORM_STATS_SPAN);
         model.update_norm_stats(&union);
+        drop(norm_stats_span);
 
         let mut client_sums = Vec::with_capacity(clients.len());
         let mut clean_total = vec![0.0; dim];

@@ -13,6 +13,7 @@ use dpaudit_datasets::Dataset;
 use dpaudit_dp::RdpAccountant;
 use dpaudit_math::{axpy, GaussianSampler};
 use dpaudit_nn::Sequential;
+use dpaudit_obs as obs;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -111,6 +112,7 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     let mut batch_sizes = Vec::with_capacity(cfg.steps);
     let mut losses = Vec::with_capacity(cfg.steps);
     let mut last_loss = f64::NAN;
+    let refresh_norm_stats = model.has_batch_norm();
 
     for _ in 0..cfg.steps {
         // Poisson sampling: each record independently with probability q.
@@ -119,7 +121,8 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
             .collect();
         batch_sizes.push(batch.len());
 
-        if !batch.is_empty() {
+        if refresh_norm_stats && !batch.is_empty() {
+            let _span = obs::span(obs::names::NORM_STATS_SPAN);
             let batch_xs: Vec<_> = batch.iter().map(|&i| data.xs[i].clone()).collect();
             model.update_norm_stats(&batch_xs);
         }

@@ -60,7 +60,9 @@ pub fn train_dpsgd<R: Rng + ?Sized>(
     let mut optimizer = OptimizerState::new(cfg.optimizer, dim);
 
     for step in 0..cfg.steps {
+        let norm_stats_span = obs::span(obs::names::NORM_STATS_SPAN);
         model.update_norm_stats(&data.xs);
+        drop(norm_stats_span);
         let bound = clipping.total_bound();
 
         let clip_span = obs::span(obs::names::CLIP_SPAN);
@@ -80,6 +82,7 @@ pub fn train_dpsgd<R: Rng + ?Sized>(
 
         let noise_span = obs::span(obs::names::NOISE_SPAN);
         // Differing-record gradients at the current public state.
+        let diff_grads_span = obs::span(obs::names::DIFF_GRADS_SPAN);
         let (x1, y1) = pair.x1();
         let (_, mut grad_x1) = model.per_example_grad_on(backend, x1, y1);
         clipping.clip(&mut grad_x1, &layout);
@@ -88,6 +91,7 @@ pub fn train_dpsgd<R: Rng + ?Sized>(
             clipping.clip(&mut g, &layout);
             g
         });
+        drop(diff_grads_span);
         let local_sensitivity = match &grad_x2 {
             Some(g2) => l2_distance(&grad_x1, g2),
             None => l2_norm(&grad_x1),
@@ -202,6 +206,7 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
         .backend
         .resolve()
         .unwrap_or_else(|e| panic!("train_dpsgd_subsampled: {e}"));
+    let refresh_norm_stats = model.has_batch_norm();
 
     let mut clipping = cfg.clipping.clone();
     let mut optimizer = OptimizerState::new(cfg.optimizer, dim);
@@ -213,7 +218,10 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
             .filter(|_| sample_rng.gen::<f64>() < q)
             .collect();
 
-        if !batch.is_empty() {
+        // Gathering the sampled examples only feeds the refresh, so a model
+        // without batch norm skips both.
+        if refresh_norm_stats && !batch.is_empty() {
+            let _span = obs::span(obs::names::NORM_STATS_SPAN);
             let batch_xs: Vec<_> = batch.iter().map(|&i| data.xs[i].clone()).collect();
             model.update_norm_stats(&batch_xs);
         }
@@ -241,6 +249,7 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
         // Differing-record gradients at the current public state, recorded
         // for the adversary's (batch-conditional) hypothesis centers and
         // the local-sensitivity diagnostics.
+        let diff_grads_span = obs::span(obs::names::DIFF_GRADS_SPAN);
         let (x1, y1) = pair.x1();
         let (_, mut grad_x1) = model.per_example_grad_on(backend, x1, y1);
         clipping.clip(&mut grad_x1, &layout);
@@ -249,6 +258,7 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
             clipping.clip(&mut g, &layout);
             g
         });
+        drop(diff_grads_span);
         let local_sensitivity = match &grad_x2 {
             Some(g2) => l2_distance(&grad_x1, g2),
             None => l2_norm(&grad_x1),

@@ -190,6 +190,11 @@ impl Conv2d {
 /// parameters: they are refreshed from clean batches by
 /// [`crate::Sequential::update_norm_stats`] and treated as constants by the
 /// backward pass. `gamma` (scale) and `beta` (shift) are learnable.
+///
+/// The refresh measures the batch's per-channel mean and variance on the
+/// batched forward pass, in chunks of stacked examples, and folds them in
+/// with [`BatchNorm2d::update_stats`]; the sums run in the same order as an
+/// example-at-a-time pass, so the running statistics carry the same bits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchNorm2d {
     /// Learnable per-channel scale.

@@ -14,6 +14,15 @@
 //! [`Sequential::update_norm_stats`]) and the backward pass treats them as
 //! constants, which keeps per-example gradients well defined — the standard
 //! workaround in DP deep-learning stacks.
+//!
+//! Batch-first: per-example gradients, the norm-stats refresh and
+//! inference ([`Sequential::accuracy`], [`Sequential::mean_loss`]) run on
+//! the batched layers ([`Layer::forward_batch_on`]), which reproduce the
+//! example-at-a-time arithmetic bit for bit. The refresh works over
+//! fixed-size chunks of stacked examples, skips models without batch norm
+//! and stops at the last batch-norm layer. The scalar path
+//! ([`Layer::forward`], [`Sequential::per_example_grad_scalar`]) is kept as
+//! the property-test oracle.
 
 pub mod batch32;
 pub(crate) mod batched;

@@ -282,44 +282,69 @@ impl Sequential {
         (loss, grad)
     }
 
+    /// Logits and label of every example of `xs`, visited in example order.
+    /// Runs the batched forward pass on [`Backend::native`] over chunks of
+    /// [`FORWARD_CHUNK`] stacked examples, so each row carries the exact
+    /// bits of [`Sequential::forward`] on that example.
+    fn for_each_logits(
+        &self,
+        xs: &[Tensor],
+        labels: &[usize],
+        mut visit: impl FnMut(&[f64], usize),
+    ) {
+        for (chunk, ys) in xs.chunks(FORWARD_CHUNK).zip(labels.chunks(FORWARD_CHUNK)) {
+            let logits = self.forward_batch_on(Backend::native(), &Tensor::stack(chunk));
+            let classes = logits.shape()[1];
+            for (row, &y) in logits.data().chunks_exact(classes).zip(ys) {
+                visit(row, y);
+            }
+        }
+    }
+
     /// Average cross-entropy loss over a labelled set.
+    ///
+    /// Per-example losses come from the chunked batched forward pass and
+    /// are summed in example order, so the result is bit-identical to
+    /// summing [`softmax_cross_entropy`] over [`Sequential::forward`] one
+    /// example at a time.
     pub fn mean_loss(&self, xs: &[Tensor], labels: &[usize]) -> f64 {
         assert_eq!(xs.len(), labels.len(), "mean_loss: length mismatch");
         assert!(!xs.is_empty(), "mean_loss: empty set");
-        let total: f64 = xs
-            .iter()
-            .zip(labels)
-            .map(|(x, &y)| {
-                let logits = self.forward(x);
-                let (loss, _) = softmax_cross_entropy(logits.data(), y);
-                loss
-            })
-            .sum();
+        let mut losses = Vec::with_capacity(xs.len());
+        self.for_each_logits(xs, labels, |row, y| {
+            losses.push(softmax_cross_entropy(row, y).0);
+        });
+        // `Sum` as the scalar formula uses it (it starts from -0.0, so an
+        // all-zero-loss set keeps its sign bit).
+        let total: f64 = losses.iter().sum();
         total / xs.len() as f64
     }
 
     /// Most likely class for one example.
     pub fn predict(&self, x: &Tensor) -> usize {
-        let logits = self.forward(x);
-        logits
-            .data()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN logit"))
-            .map(|(i, _)| i)
-            .expect("predict: empty logits")
+        argmax(self.forward(x).data())
     }
 
-    /// Classification accuracy over a labelled set.
+    /// Classification accuracy over a labelled set, on the chunked batched
+    /// forward pass (the same predictions as [`Sequential::predict`]).
     pub fn accuracy(&self, xs: &[Tensor], labels: &[usize]) -> f64 {
         assert_eq!(xs.len(), labels.len(), "accuracy: length mismatch");
         assert!(!xs.is_empty(), "accuracy: empty set");
-        let correct = xs
-            .iter()
-            .zip(labels)
-            .filter(|(x, &y)| self.predict(x) == y)
-            .count();
+        let mut correct = 0usize;
+        self.for_each_logits(xs, labels, |row, y| {
+            if argmax(row) == y {
+                correct += 1;
+            }
+        });
         correct as f64 / xs.len() as f64
+    }
+
+    /// Whether any layer is a [`Layer::BatchNorm2d`] — i.e. whether
+    /// [`Sequential::update_norm_stats`] has anything to refresh.
+    pub fn has_batch_norm(&self) -> bool {
+        self.layers
+            .iter()
+            .any(|layer| matches!(layer, Layer::BatchNorm2d(_)))
     }
 
     /// Refresh the running statistics of every [`Layer::BatchNorm2d`] from a
@@ -329,55 +354,104 @@ impl Sequential {
     /// Must be called before computing per-example gradients for a step so
     /// that all examples are normalised identically (frozen-stats batch
     /// norm; see the crate docs).
+    ///
+    /// Only the work the statistics need is done: a model without batch
+    /// norm returns at once, and activations stop advancing at the last
+    /// batch-norm layer. The set advances through the batched forward pass
+    /// on [`Backend::native`] in chunks of `FORWARD_CHUNK` (16) stacked
+    /// examples, and each channel's mean and variance are accumulated
+    /// example-major, then channel, then plane — the order of the
+    /// example-at-a-time refresh — so the running statistics are
+    /// bit-identical to it.
     pub fn update_norm_stats(&mut self, batch: &[Tensor]) {
+        let last_norm = self
+            .layers
+            .iter()
+            .rposition(|layer| matches!(layer, Layer::BatchNorm2d(_)));
+        let Some(last_norm) = last_norm else {
+            return;
+        };
         if batch.is_empty() {
             return;
         }
-        let mut activations: Vec<Tensor> = batch.to_vec();
-        for layer in &mut self.layers {
+        // The whole set's activations at the current layer, as stacked
+        // chunks in example order.
+        let mut chunks: Vec<Tensor> = batch.chunks(FORWARD_CHUNK).map(Tensor::stack).collect();
+        for (i, layer) in self.layers[..=last_norm].iter_mut().enumerate() {
             if let Layer::BatchNorm2d(bn) = layer {
-                // Per-channel mean/var across the batch and spatial dims.
-                let shape = activations[0].shape().to_vec();
-                assert_eq!(
-                    shape.len(),
-                    3,
-                    "update_norm_stats: batch norm input must be [C,H,W]"
-                );
-                let channels = shape[0];
-                let plane = shape[1] * shape[2];
-                let count = (activations.len() * plane) as f64;
-                let mut mean = vec![0.0; channels];
-                let mut var = vec![0.0; channels];
-                #[allow(clippy::needless_range_loop)] // c addresses offsets too
-                for a in &activations {
-                    for c in 0..channels {
-                        for p in 0..plane {
-                            mean[c] += a.data()[c * plane + p];
-                        }
-                    }
-                }
-                for m in &mut mean {
-                    *m /= count;
-                }
-                for a in &activations {
-                    for c in 0..channels {
-                        for p in 0..plane {
-                            let d = a.data()[c * plane + p] - mean[c];
-                            var[c] += d * d;
-                        }
-                    }
-                }
-                for v in &mut var {
-                    *v /= count;
-                }
+                let (mean, var) = channel_moments(&chunks);
                 bn.update_stats(&mean, &var);
             }
-            // Advance the whole batch through this layer (with the *updated*
-            // stats for batch-norm layers).
-            let frozen = &*layer;
-            activations = activations.iter().map(|a| frozen.forward(a).0).collect();
+            if i < last_norm {
+                // Advance with the *updated* stats for batch-norm layers.
+                let frozen = &*layer;
+                for chunk in &mut chunks {
+                    *chunk = frozen.forward_batch_on(Backend::native(), chunk).0;
+                }
+            }
         }
     }
+}
+
+/// Examples stacked into one batched forward pass by the norm-stats refresh
+/// and batched inference. It bounds the im2col patch scratch to a chunk
+/// instead of the whole set; results do not depend on it, because each
+/// example's arithmetic in the batched layers is independent of its
+/// batch-mates.
+const FORWARD_CHUNK: usize = 16;
+
+/// Index of the largest logit (the last one on ties, as [`Iterator::max_by`]
+/// resolves them).
+fn argmax(logits: &[f64]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN logit"))
+        .map(|(i, _)| i)
+        .expect("predict: empty logits")
+}
+
+/// Per-channel mean and (biased) variance over examples and spatial
+/// positions of `[B, C, H, W]` chunks. Both sums run example-major, then
+/// channel, then plane position, and divide by the element count once.
+fn channel_moments(chunks: &[Tensor]) -> (Vec<f64>, Vec<f64>) {
+    let shape = chunks[0].shape();
+    assert_eq!(
+        shape.len(),
+        4,
+        "update_norm_stats: batch norm input must be [B, C, H, W], got {shape:?}"
+    );
+    let (channels, plane) = (shape[1], shape[2] * shape[3]);
+    let examples = || {
+        chunks
+            .iter()
+            .flat_map(|chunk| chunk.data().chunks_exact(channels * plane))
+    };
+    let count = (examples().count() * plane) as f64;
+    let mut mean = vec![0.0; channels];
+    for example in examples() {
+        for (m, values) in mean.iter_mut().zip(example.chunks_exact(plane)) {
+            for v in values {
+                *m += v;
+            }
+        }
+    }
+    for m in &mut mean {
+        *m /= count;
+    }
+    let mut var = vec![0.0; channels];
+    for example in examples() {
+        for ((v, m), values) in var.iter_mut().zip(&mean).zip(example.chunks_exact(plane)) {
+            for x in values {
+                let d = x - m;
+                *v += d * d;
+            }
+        }
+    }
+    for v in &mut var {
+        *v /= count;
+    }
+    (mean, var)
 }
 
 #[cfg(test)]
@@ -536,26 +610,23 @@ mod tests {
         assert!(m.accuracy(&xs, &ys) >= 0.5);
     }
 
+    /// Every batch-norm layer's running (mean, variance).
+    fn norm_stats(m: &Sequential) -> Vec<(Vec<f64>, Vec<f64>)> {
+        m.layers
+            .iter()
+            .filter_map(|l| match l {
+                Layer::BatchNorm2d(b) => Some((b.running_mean.clone(), b.running_var.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn update_norm_stats_changes_running_stats() {
         let mut m = tiny_cnn(6);
-        let stats_before: Vec<(Vec<f64>, Vec<f64>)> = m
-            .layers
-            .iter()
-            .filter_map(|l| match l {
-                Layer::BatchNorm2d(b) => Some((b.running_mean.clone(), b.running_var.clone())),
-                _ => None,
-            })
-            .collect();
+        let stats_before = norm_stats(&m);
         m.update_norm_stats(&[example(20, &[1, 8, 8]), example(21, &[1, 8, 8])]);
-        let stats_after: Vec<(Vec<f64>, Vec<f64>)> = m
-            .layers
-            .iter()
-            .filter_map(|l| match l {
-                Layer::BatchNorm2d(b) => Some((b.running_mean.clone(), b.running_var.clone())),
-                _ => None,
-            })
-            .collect();
+        let stats_after = norm_stats(&m);
         assert_eq!(stats_before.len(), 1);
         assert_ne!(stats_before, stats_after);
     }
@@ -563,9 +634,10 @@ mod tests {
     #[test]
     fn update_norm_stats_empty_batch_is_noop() {
         let mut m = tiny_cnn(7);
-        let before = m.params();
+        let before = m.clone();
         m.update_norm_stats(&[]);
-        assert_eq!(m.params(), before);
+        assert_eq!(m.params(), before.params());
+        assert_eq!(norm_stats(&m), norm_stats(&before));
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! Property tests: the batched gradient pipeline is bit-identical to the
-//! scalar example-at-a-time oracle, over random shapes and batch sizes.
+//! Property tests: the batched pipeline is bit-identical to the scalar
+//! example-at-a-time oracle, over random shapes and batch sizes.
 //!
 //! `per_example_grads` promises that row `b` of its `[B, P]` output carries
 //! the exact bits `per_example_grad_scalar` would produce for example `b` —
-//! the invariant the DPSGD clip loop's determinism rests on.
+//! the invariant the DPSGD clip loop's determinism rests on. The batched
+//! norm-stats refresh and batched inference (`mean_loss`, `accuracy`) are
+//! pinned the same way against the scalar formulas below.
 
 use dpaudit_math::seeded_rng;
-use dpaudit_nn::{BatchNorm2d, Conv2d, Dense, Layer, MaxPool2d, Sequential};
+use dpaudit_nn::{
+    mnist_cnn, softmax_cross_entropy, BatchNorm2d, Conv2d, Dense, Layer, MaxPool2d, Sequential,
+};
 use dpaudit_tensor::Tensor;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -58,6 +62,178 @@ fn assert_batch_matches_scalar(
         }
     }
     Ok(())
+}
+
+/// The example-at-a-time norm-stats refresh: advance every example through
+/// every layer with the scalar [`Layer::forward`], and at each batch-norm
+/// layer fold the per-channel mean, then variance, accumulated
+/// example-major, then channel, then plane.
+fn update_norm_stats_scalar(model: &mut Sequential, batch: &[Tensor]) {
+    if batch.is_empty() {
+        return;
+    }
+    let mut activations: Vec<Tensor> = batch.to_vec();
+    for layer in &mut model.layers {
+        if let Layer::BatchNorm2d(bn) = layer {
+            let shape = activations[0].shape().to_vec();
+            assert_eq!(shape.len(), 3, "batch norm input must be [C,H,W]");
+            let channels = shape[0];
+            let plane = shape[1] * shape[2];
+            let count = (activations.len() * plane) as f64;
+            let mut mean = vec![0.0; channels];
+            let mut var = vec![0.0; channels];
+            for a in &activations {
+                for (c, m) in mean.iter_mut().enumerate() {
+                    for p in 0..plane {
+                        *m += a.data()[c * plane + p];
+                    }
+                }
+            }
+            for m in &mut mean {
+                *m /= count;
+            }
+            for a in &activations {
+                for (c, v) in var.iter_mut().enumerate() {
+                    for p in 0..plane {
+                        let d = a.data()[c * plane + p] - mean[c];
+                        *v += d * d;
+                    }
+                }
+            }
+            for v in &mut var {
+                *v /= count;
+            }
+            bn.update_stats(&mean, &var);
+        }
+        let frozen = &*layer;
+        activations = activations.iter().map(|a| frozen.forward(a).0).collect();
+    }
+}
+
+/// Every batch-norm layer's running statistics, as raw bits.
+fn norm_stat_bits(model: &Sequential) -> Vec<u64> {
+    model
+        .layers
+        .iter()
+        .filter_map(|layer| match layer {
+            Layer::BatchNorm2d(bn) => Some(bn.running_mean.iter().chain(&bn.running_var)),
+            _ => None,
+        })
+        .flatten()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// `examples` inputs of `shape` drawn from `seed`.
+fn inputs(seed: u64, examples: usize, shape: &[usize]) -> Vec<Tensor> {
+    let mut rng = seeded_rng(seed);
+    let n: usize = shape.iter().product();
+    (0..examples)
+        .map(|_| {
+            let data = (0..n)
+                .map(|_| rand::Rng::gen_range(&mut rng, -1.5..1.5))
+                .collect();
+            Tensor::from_vec(shape, data)
+        })
+        .collect()
+}
+
+/// Refresh `model` and a copy through the scalar oracle from three
+/// consecutive batches (each step's statistics feed the next step's
+/// forward pass), checking the running statistics bitwise after each.
+fn assert_refresh_matches_scalar(
+    model: &Sequential,
+    seed: u64,
+    examples: usize,
+    shape: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut batched = model.clone();
+    let mut scalar = model.clone();
+    for step in 0..3 {
+        let xs = inputs(seed.wrapping_add(step), examples, shape);
+        batched.update_norm_stats(&xs);
+        update_norm_stats_scalar(&mut scalar, &xs);
+        prop_assert!(
+            norm_stat_bits(&batched) == norm_stat_bits(&scalar),
+            "running stats differ after refresh {step} of {examples} examples"
+        );
+    }
+    prop_assert!(norm_stat_bits(&batched) != norm_stat_bits(model));
+    prop_assert_eq!(batched.params(), model.params());
+    Ok(())
+}
+
+/// `mean_loss` and `accuracy` carry the exact bits of the scalar formulas:
+/// per-example [`Sequential::forward`] losses summed in example order, and
+/// the share of [`Sequential::predict`] hits.
+fn assert_inference_matches_scalar(
+    model: &Sequential,
+    xs: &[Tensor],
+    ys: &[usize],
+) -> Result<(), TestCaseError> {
+    let losses: Vec<f64> = xs
+        .iter()
+        .zip(ys)
+        .map(|(x, &y)| softmax_cross_entropy(model.forward(x).data(), y).0)
+        .collect();
+    let mean_loss = losses.iter().sum::<f64>() / xs.len() as f64;
+    prop_assert_eq!(model.mean_loss(xs, ys).to_bits(), mean_loss.to_bits());
+    let hits = xs
+        .iter()
+        .zip(ys)
+        .filter(|(x, &y)| model.predict(x) == y)
+        .count();
+    let accuracy = hits as f64 / xs.len() as f64;
+    prop_assert_eq!(model.accuracy(xs, ys).to_bits(), accuracy.to_bits());
+    Ok(())
+}
+
+/// Batch sizes around the refresh's private 16-example chunk (1, chunk − 1,
+/// chunk, chunk + 1) and one spanning several chunks.
+const REFRESH_SIZES: [usize; 5] = [1, 15, 16, 17, 100];
+
+#[test]
+fn refresh_without_batch_norm_leaves_model_untouched() {
+    let mut model = mlp(3, 5, 4, 3);
+    let before = model.clone();
+    model.update_norm_stats(&inputs(4, 20, &[5]));
+    assert_eq!(model.params(), before.params());
+    assert!(!model.has_batch_norm());
+    assert!(mnist_cnn(&mut seeded_rng(3)).has_batch_norm());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn tiny_cnn_refresh_matches_scalar_bitwise(seed in 0u64..1_000) {
+        for examples in REFRESH_SIZES {
+            assert_refresh_matches_scalar(&cnn(seed), seed, examples, &[1, 8, 8])?;
+        }
+    }
+
+    #[test]
+    fn mnist_cnn_refresh_matches_scalar_bitwise(seed in 0u64..1_000) {
+        let model = mnist_cnn(&mut seeded_rng(seed));
+        for examples in REFRESH_SIZES {
+            assert_refresh_matches_scalar(&model, seed, examples, &[1, 28, 28])?;
+        }
+    }
+
+    #[test]
+    fn inference_matches_scalar_bitwise(seed in 0u64..1_000) {
+        let mut cnn = cnn(seed);
+        cnn.update_norm_stats(&inputs(seed, 10, &[1, 8, 8]));
+        let mlp = mlp(seed, 6, 5, 4);
+        for examples in REFRESH_SIZES {
+            let xs = inputs(seed ^ 1, examples, &[1, 8, 8]);
+            let ys: Vec<usize> = (0..examples).map(|i| (i * 7 + seed as usize) % 3).collect();
+            assert_inference_matches_scalar(&cnn, &xs, &ys)?;
+            let xs = inputs(seed ^ 2, examples, &[6]);
+            let ys: Vec<usize> = (0..examples).map(|i| (i + seed as usize) % 4).collect();
+            assert_inference_matches_scalar(&mlp, &xs, &ys)?;
+        }
+    }
 }
 
 proptest! {

@@ -105,8 +105,16 @@ pub mod names {
     /// clipping for up to `CLIP_CHUNK` examples); nested under
     /// [`CLIP_SPAN`], emitted from whichever worker ran the chunk.
     pub const CLIP_CHUNK_SPAN: &str = "dpsgd.clip_chunk";
+    /// Span: per-step batch-norm statistics refresh from the trained batch
+    /// (`Sequential::update_norm_stats`, plus gathering a sampled batch).
+    /// Near zero for models without batch norm, which return at once.
+    pub const NORM_STATS_SPAN: &str = "dpsgd.norm_stats";
     /// Span: per-step sensitivity estimation + Gaussian perturbation.
     pub const NOISE_SPAN: &str = "dpsgd.noise";
+    /// Span: the per-step gradients of the differing records x̂₁/x̂₂
+    /// (forward, backward and clipping); nested under [`NOISE_SPAN`],
+    /// which keeps timing the whole sensitivity + perturbation stage.
+    pub const DIFF_GRADS_SPAN: &str = "dpsgd.diff_grads";
     /// Span: per-step optimizer update (+ adaptive-clip steering).
     pub const UPDATE_SPAN: &str = "dpsgd.update";
     /// Span: posterior belief update over one released gradient.
