@@ -6,10 +6,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpaudit_bench::Workload;
-use dpaudit_dpsgd::{clip_loop, ClippingStrategy};
+use dpaudit_dpsgd::{clip_loop_mode, ClippingStrategy, ComputeMode};
 use dpaudit_math::{axpy, seeded_rng};
 use dpaudit_nn::Sequential;
-use dpaudit_tensor::Tensor;
+use dpaudit_tensor::{Backend, Tensor};
 use rayon::ThreadPoolBuilder;
 
 const TRAIN: usize = 32;
@@ -55,11 +55,23 @@ fn bench_batched_step(c: &mut Criterion) {
     g.bench_function(format!("scalar_{TRAIN}"), |b| {
         b.iter(|| black_box(scalar_step(&model, &xs, &ys, &clipping, &layout)))
     });
+    let clip_loop = |pool| {
+        clip_loop_mode(
+            &model,
+            &xs,
+            &ys,
+            &clipping,
+            &layout,
+            pool,
+            ComputeMode::F64,
+            Backend::native(),
+        )
+    };
     g.bench_function(format!("batched_{TRAIN}"), |b| {
-        b.iter(|| black_box(clip_loop(&model, &xs, &ys, &clipping, &layout, None)))
+        b.iter(|| black_box(clip_loop(None)))
     });
     g.bench_function(format!("parallel_{TRAIN}"), |b| {
-        b.iter(|| black_box(clip_loop(&model, &xs, &ys, &clipping, &layout, Some(&pool))))
+        b.iter(|| black_box(clip_loop(Some(&pool))))
     });
     g.finish();
 }

@@ -15,7 +15,7 @@
 //! here is pure speed.
 
 use dpaudit_bench::Workload;
-use dpaudit_dpsgd::{clip_loop, clip_loop_mode, ClippingStrategy, ComputeMode};
+use dpaudit_dpsgd::{clip_loop_mode, ClippingStrategy, ComputeMode};
 use dpaudit_math::{axpy, seeded_rng};
 use dpaudit_nn::Sequential;
 use dpaudit_tensor::{kernel_backend, set_force_scalar, Backend, Tensor};
@@ -93,8 +93,7 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
     set_force_scalar(false);
     let (f64_simd, f64_simd_sum) = throughput(|| batched(ComputeMode::F64, None, native));
     let (f32_simd, f32_simd_sum) = throughput(|| batched(ComputeMode::F32, None, native));
-    let (parallel, parallel_sum) =
-        throughput(|| clip_loop(&model, xs, ys, &clipping, &layout, Some(pool)).clean_sum);
+    let (parallel, parallel_sum) = throughput(|| batched(ComputeMode::F64, Some(pool), native));
 
     // Non-native gemm backends compiled into this binary (e.g. a blas
     // build): one f64 and one f32 row each, tolerance-checked against the

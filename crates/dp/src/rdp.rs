@@ -12,7 +12,7 @@
 //! at every training step.
 
 use dpaudit_math::{log_binomial, log_sum_exp};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// The default Rényi-order grid, matching the spirit of tensorflow-privacy:
 /// a fine sweep of small orders plus exponentially spaced large ones.
@@ -217,11 +217,85 @@ pub fn gaussian_rdp_epsilon_closed_form(noise_multiplier: f64, k: usize, delta: 
 /// let (eps, _order) = acc.epsilon(1e-3);
 /// assert!((eps - 2.2).abs() < 0.05);             // the paper's rho_beta = 0.9 budget
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The accountant remembers the per-order RDP of the last Poisson-subsampled
+/// step it composed, so a run of steps at one `(q, z)` integrates the
+/// fractional orders once instead of once per step. The memo is a cache,
+/// not state: it is never serialized, and composing through it adds the
+/// very same values in the same order, so the accumulated RDP is
+/// bit-identical to recomputing every step.
+#[derive(Debug, Clone)]
 pub struct RdpAccountant {
     orders: Vec<f64>,
     rdp: Vec<f64>,
     steps: usize,
+    last_subsampled: Option<SubsampledStep>,
+}
+
+/// One Poisson-subsampled Gaussian step's RDP at every order of a grid.
+#[derive(Debug, Clone)]
+struct SubsampledStep {
+    q: f64,
+    noise_multiplier: f64,
+    rdp: Vec<f64>,
+}
+
+impl SubsampledStep {
+    /// Integer orders use the exact binomial expansion; fractional orders
+    /// use the numerically integrated divergence.
+    fn new(orders: &[f64], q: f64, noise_multiplier: f64) -> Self {
+        let rdp = orders
+            .iter()
+            .map(|&a| {
+                if a.fract() == 0.0 && a >= 2.0 {
+                    subsampled_gaussian_rdp_int(a as u64, q, noise_multiplier)
+                } else {
+                    subsampled_gaussian_rdp_numeric(a, q, noise_multiplier)
+                }
+            })
+            .collect();
+        SubsampledStep {
+            q,
+            noise_multiplier,
+            rdp,
+        }
+    }
+
+    fn is_for(&self, q: f64, noise_multiplier: f64) -> bool {
+        self.q.to_bits() == q.to_bits()
+            && self.noise_multiplier.to_bits() == noise_multiplier.to_bits()
+    }
+}
+
+/// The serialized form of an [`RdpAccountant`]: its state without the memo.
+#[derive(Serialize, Deserialize)]
+struct RdpAccountantState {
+    orders: Vec<f64>,
+    rdp: Vec<f64>,
+    steps: usize,
+}
+
+impl Serialize for RdpAccountant {
+    fn to_value(&self) -> Value {
+        RdpAccountantState {
+            orders: self.orders.clone(),
+            rdp: self.rdp.clone(),
+            steps: self.steps,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for RdpAccountant {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let state = RdpAccountantState::from_value(value)?;
+        Ok(RdpAccountant {
+            orders: state.orders,
+            rdp: state.rdp,
+            steps: state.steps,
+            last_subsampled: None,
+        })
+    }
 }
 
 impl Default for RdpAccountant {
@@ -250,6 +324,7 @@ impl RdpAccountant {
             orders: orders.to_vec(),
             rdp: vec![0.0; orders.len()],
             steps: 0,
+            last_subsampled: None,
         }
     }
 
@@ -298,17 +373,21 @@ impl RdpAccountant {
     /// Integer orders use the exact binomial expansion; fractional orders
     /// use the numerically integrated divergence
     /// ([`subsampled_gaussian_rdp_numeric`]), so the whole grid stays live.
+    /// The per-order values are computed once per `(q, z)` run of calls and
+    /// reused (see the type docs).
     pub fn add_subsampled_gaussian_step(&mut self, q: f64, noise_multiplier: f64) {
         if q >= 1.0 {
             self.add_gaussian_step(noise_multiplier);
             return;
         }
-        for (r, &a) in self.rdp.iter_mut().zip(&self.orders) {
-            if a.fract() == 0.0 && a >= 2.0 {
-                *r += subsampled_gaussian_rdp_int(a as u64, q, noise_multiplier);
-            } else {
-                *r += subsampled_gaussian_rdp_numeric(a, q, noise_multiplier);
-            }
+        let cached =
+            matches!(&self.last_subsampled, Some(step) if step.is_for(q, noise_multiplier));
+        if !cached {
+            self.last_subsampled = Some(SubsampledStep::new(&self.orders, q, noise_multiplier));
+        }
+        let step = self.last_subsampled.as_ref().expect("memo just filled");
+        for (r, v) in self.rdp.iter_mut().zip(&step.rdp) {
+            *r += v;
         }
         self.steps += 1;
     }
@@ -341,6 +420,57 @@ impl RdpAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memoised_subsampled_steps_match_per_step_recomputation_bitwise() {
+        // Runs of repeated (q, z), switches back to an earlier pair, and a
+        // q = 1 step in between: after every call the accumulated RDP must
+        // carry the exact bits of adding freshly computed per-order values.
+        let sequence = [
+            (0.5, 1.1),
+            (0.5, 1.1),
+            (0.5, 1.1),
+            (0.01, 4.0),
+            (0.01, 4.0),
+            (0.5, 1.1),
+            (1.0, 2.0),
+            (0.5, 1.1),
+            (0.5, 1.2),
+        ];
+        let mut acc = RdpAccountant::new();
+        let mut expect = vec![0.0; DEFAULT_ORDERS.len()];
+        for (k, &(q, z)) in sequence.iter().enumerate() {
+            acc.add_subsampled_gaussian_step(q, z);
+            for (e, &a) in expect.iter_mut().zip(DEFAULT_ORDERS) {
+                *e += if q >= 1.0 {
+                    gaussian_rdp(a, z)
+                } else if a.fract() == 0.0 && a >= 2.0 {
+                    subsampled_gaussian_rdp_int(a as u64, q, z)
+                } else {
+                    subsampled_gaussian_rdp_numeric(a, q, z)
+                };
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(acc.rdp()), bits(&expect), "after step {k}");
+            assert_eq!(acc.steps(), k + 1);
+        }
+    }
+
+    #[test]
+    fn serialized_form_omits_the_memo() {
+        let mut acc = RdpAccountant::with_orders(&[1.5, 2.0]);
+        acc.add_subsampled_gaussian_step(0.25, 1.5);
+        let value = acc.to_value();
+        let keys: Vec<&str> = match &value {
+            Value::Object(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("accountant serialized as {other:?}"),
+        };
+        assert_eq!(keys, ["orders", "rdp", "steps"]);
+        let back = RdpAccountant::from_value(&value).unwrap();
+        assert_eq!(back.rdp(), acc.rdp());
+        assert_eq!(back.steps(), 1);
+        assert_eq!(back.orders(), acc.orders());
+    }
 
     #[test]
     fn gaussian_rdp_formula() {

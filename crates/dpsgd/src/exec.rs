@@ -1,13 +1,23 @@
 //! The batched DPSGD clip loop and its intra-trial parallelism knob.
 //!
-//! [`clip_loop`] is the per-step hot path of every audit trial: per-example
-//! gradients, clipping, and the clipped-gradient sum. It walks the dataset
-//! in fixed chunks of [`CLIP_CHUNK`] examples, computes each chunk with one
-//! batched forward/backward pass, and folds the per-chunk partial sums in
-//! chunk-index order. Because the chunking is a constant of the data (never
-//! of the worker count) and the fold order is fixed, the result is
-//! bit-identical whether chunks run sequentially or on a thread pool —
-//! the same invariant the runtime executor guarantees across trials.
+//! [`clip_loop_mode`] is the per-step hot path of every DPSGD trainer
+//! (full-batch and Poisson audits, mini-batch and federated training):
+//! per-example gradients, clipping, and the clipped-gradient sum. It walks
+//! the batch in fixed chunks of [`CLIP_CHUNK`] examples, runs each chunk's
+//! forward and backward delta pass batched, and then streams the chunk's
+//! per-example gradient rows one at a time through a single reused
+//! dim-length buffer: each row is clipped and added into the chunk's partial
+//! sum as it is written. The partials are folded in chunk-index order.
+//! Because the chunking is a constant of the data (never of the worker
+//! count) and the fold order is fixed, the result is bit-identical whether
+//! chunks run sequentially or on a thread pool — the same invariant the
+//! runtime executor guarantees across trials.
+//!
+//! Memory: a sequential pass holds one gradient row, one chunk partial and
+//! the running total (three dim-length f64 vectors, plus the chunk's
+//! activations) — never a `[CLIP_CHUNK, dim]` gradient block, and never
+//! more than one partial at a time. A pooled pass holds one row and one
+//! partial per chunk until the ordered fold.
 //!
 //! The thread count is a process-wide knob ([`set_batch_threads`]) rather
 //! than a per-call argument because the trainer sits several layers below
@@ -27,9 +37,9 @@ use crate::config::ComputeMode;
 
 /// Examples per clip-loop chunk. A constant of the computation, not of the
 /// thread count: chunk boundaries define the fixed-order reduction that
-/// makes the clipped-gradient sum independent of parallelism. 16 examples
-/// keeps a chunk's per-example gradient buffer around 11 MB for the largest
-/// reference model (purchase MLP, ~90k parameters).
+/// makes the clipped-gradient sum independent of parallelism. It also bounds
+/// the batched forward/delta activations a chunk holds; gradients never
+/// exist as a chunk-sized block (rows stream through one buffer).
 pub const CLIP_CHUNK: usize = 16;
 
 /// Worker threads for the clip loop inside one trial (process-wide).
@@ -59,7 +69,7 @@ pub fn effective_batch_threads() -> usize {
 
 /// A thread pool sized by [`set_batch_threads`], or `None` when the knob
 /// resolves to sequential execution. Build once per training run and pass
-/// to every [`clip_loop`] call.
+/// to every [`clip_loop_mode`] call.
 pub fn batch_pool() -> Option<ThreadPool> {
     let n = effective_batch_threads();
     (n > 1).then(|| {
@@ -81,79 +91,54 @@ pub struct ClipLoopOutput {
     pub unclipped: usize,
 }
 
-/// One pass of the DPSGD clip loop: per-example gradients over `(xs, ys)`
-/// via the batched pipeline, clipped by `clipping` over `layout`, summed in
-/// fixed chunk order. With `pool`, chunks run in parallel; the output is
-/// bit-identical either way (see the module docs).
-pub fn clip_loop(
-    model: &Sequential,
-    xs: &[Tensor],
-    ys: &[usize],
-    clipping: &ClippingStrategy,
-    layout: &[usize],
-    pool: Option<&ThreadPool>,
-) -> ClipLoopOutput {
-    clip_loop_on(model, xs, ys, clipping, layout, pool, Backend::native())
-}
-
-/// [`clip_loop`] with the per-example gradient gemms routed through a
-/// [`Backend`] handle (resolved once per training run, never per chunk).
-/// On [`Backend::native`] the two are bit-identical; other backends are
-/// tolerance-equivalent only.
-pub fn clip_loop_on(
-    model: &Sequential,
-    xs: &[Tensor],
-    ys: &[usize],
-    clipping: &ClippingStrategy,
-    layout: &[usize],
-    pool: Option<&ThreadPool>,
-    backend: Backend,
-) -> ClipLoopOutput {
-    let dim = model.param_count();
-    let bound = clipping.total_bound();
-    let ranges = chunk_ranges(xs.len());
-    let run_chunk = |(start, end): (usize, usize)| {
-        let chunk_span = obs::span(obs::names::CLIP_CHUNK_SPAN);
-        let (losses, mut grads) =
-            model.per_example_grads_on(backend, &xs[start..end], &ys[start..end]);
-        let mut clean_sum = vec![0.0; dim];
-        let mut unclipped = 0usize;
-        for row in grads.data_mut().chunks_exact_mut(dim) {
-            let pre_norm = clipping.clip(row, layout);
-            if pre_norm <= bound {
-                unclipped += 1;
-            }
-            axpy(1.0, row, &mut clean_sum);
-        }
-        let loss_total: f64 = losses.iter().sum();
-        drop(chunk_span);
+impl ClipLoopOutput {
+    fn zero(dim: usize) -> Self {
         ClipLoopOutput {
-            clean_sum,
-            loss_total,
-            unclipped,
+            clean_sum: vec![0.0; dim],
+            loss_total: 0.0,
+            unclipped: 0,
         }
-    };
-    fold_partials(run_partials(ranges, run_chunk, pool), dim)
+    }
+
+    /// Add one chunk's partial — a step of the fixed-order reduction that
+    /// keeps the sum independent of scheduling.
+    fn fold(&mut self, partial: &ClipLoopOutput) {
+        axpy(1.0, &partial.clean_sum, &mut self.clean_sum);
+        self.loss_total += partial.loss_total;
+        self.unclipped += partial.unclipped;
+    }
 }
 
-/// One pass of the clip loop in the requested [`ComputeMode`].
+/// One pass of the DPSGD clip loop in the requested [`ComputeMode`]:
+/// per-example gradients over `(xs, ys)`, clipped by `clipping` over
+/// `layout`, summed in fixed chunk order. With `pool`, chunks run in
+/// parallel; the output is bit-identical either way (see the module docs).
 ///
-/// [`ComputeMode::F64`] delegates to [`clip_loop`] (the bit-reproducible
-/// oracle). [`ComputeMode::F32`] narrows the model once per call
-/// ([`SequentialF32::from_model`]), computes each chunk's per-example
-/// gradients in single precision, and widens each f32 value to f64 on the
-/// fly as it flows into the norm and the chunk-ordered sum — so the norm,
-/// the clip scale, and the sum all accumulate in double precision over
-/// f32-valued inputs, without materialising an f64 copy of the row. The
-/// norm uses a fixed eight-lane partial-sum reduction (a single running sum
-/// is a serial add chain whose latency dominates the loop at ~10⁵
-/// parameters); everything downstream of the per-example gradients
-/// is deterministic with a fixed chunk and fold order, so f32 results are
-/// still bit-identical across thread counts, just not to the f64 oracle.
+/// Each chunk runs one batched forward and delta pass, then streams its
+/// per-example gradient rows through one reused row buffer
+/// ([`Sequential::visit_example_grads_on`]): every row is clipped and added
+/// into the chunk's partial sum as it arrives, so no `[CLIP_CHUNK, dim]`
+/// gradient block is materialised. Without a pool each partial is folded
+/// into the total as soon as its chunk finishes; with one, the partials are
+/// collected and folded in chunk order.
+///
+/// [`ComputeMode::F64`] is the bit-reproducible oracle.
+/// [`ComputeMode::F32`] narrows the model once per call
+/// ([`SequentialF32::from_model`]), computes each row in single precision,
+/// and widens each f32 value to f64 on the fly as it flows into the norm
+/// and the chunk-ordered sum — so the norm, the clip scale, and the sum all
+/// accumulate in double precision over f32-valued inputs. The norm uses a
+/// fixed eight-lane partial-sum reduction (a single running sum is a serial
+/// add chain whose latency dominates the loop at ~10⁵ parameters);
+/// everything downstream of the per-example gradients is deterministic with
+/// a fixed chunk and fold order, so f32 results are still bit-identical
+/// across thread counts, just not to the f64 oracle.
 ///
 /// The `backend` handle routes every per-example gradient gemm (both
 /// precisions) through the selected compute backend; it is resolved once
-/// per training run, so no dynamic dispatch sits inside the chunk loop.
+/// per training run, so no dynamic dispatch sits inside the chunk loop. On
+/// [`Backend::native`] results are the oracle's; other backends are
+/// tolerance-equivalent only.
 #[allow(clippy::too_many_arguments)]
 pub fn clip_loop_mode(
     model: &Sequential,
@@ -165,34 +150,105 @@ pub fn clip_loop_mode(
     compute: ComputeMode,
     backend: Backend,
 ) -> ClipLoopOutput {
-    if compute == ComputeMode::F64 {
-        return clip_loop_on(model, xs, ys, clipping, layout, pool, backend);
-    }
+    assert_eq!(xs.len(), ys.len(), "clip_loop_mode: length mismatch");
     let dim = model.param_count();
     let bound = clipping.total_bound();
-    let shadow = SequentialF32::from_model(model);
-    let ranges = chunk_ranges(xs.len());
-    let run_chunk = |(start, end): (usize, usize)| {
-        let chunk_span = obs::span(obs::names::CLIP_CHUNK_SPAN);
-        let (losses, grads) =
-            shadow.per_example_grads_on(backend, &xs[start..end], &ys[start..end]);
-        let mut clean_sum = vec![0.0; dim];
-        let mut unclipped = 0usize;
-        for row in grads.chunks_exact(dim) {
-            let pre_norm = clip_add_widened(clipping, row, layout, &mut clean_sum);
-            if pre_norm <= bound {
-                unclipped += 1;
+    match compute {
+        ComputeMode::F64 => stream_clip(
+            xs.len(),
+            dim,
+            bound,
+            pool,
+            |(start, end), row, visit| {
+                model.visit_example_grads_on(backend, &xs[start..end], &ys[start..end], row, visit)
+            },
+            |row: &mut [f64], sum| {
+                let pre_norm = clipping.clip(row, layout);
+                axpy(1.0, row, sum);
+                pre_norm
+            },
+        ),
+        ComputeMode::F32 => {
+            let shadow = SequentialF32::from_model(model);
+            stream_clip(
+                xs.len(),
+                dim,
+                bound,
+                pool,
+                |(start, end), row, visit| {
+                    shadow.visit_example_grads_on(
+                        backend,
+                        &xs[start..end],
+                        &ys[start..end],
+                        row,
+                        visit,
+                    )
+                },
+                |row: &mut [f32], sum| clip_add_widened(clipping, row, layout, sum),
+            )
+        }
+    }
+}
+
+/// The precision-generic body of [`clip_loop_mode`]. `rows` streams the
+/// per-example `(loss, row)` pairs of one chunk range through the given
+/// visitor, reusing the row buffer; `clip_add` clips one row into the
+/// chunk's partial sum and returns its pre-clip norm.
+fn stream_clip<T, R, A>(
+    n: usize,
+    dim: usize,
+    bound: f64,
+    pool: Option<&ThreadPool>,
+    rows: R,
+    clip_add: A,
+) -> ClipLoopOutput
+where
+    T: Copy + Default + Send,
+    R: Fn((usize, usize), &mut [T], &mut dyn FnMut(f64, &mut [T])) + Sync,
+    A: Fn(&mut [T], &mut [f64]) -> f64 + Sync,
+{
+    let run_chunk = |range: (usize, usize), row: &mut [T], partial: &mut ClipLoopOutput| {
+        let _chunk_span = obs::span(obs::names::CLIP_CHUNK_SPAN);
+        let mut losses = Vec::with_capacity(CLIP_CHUNK);
+        rows(range, row, &mut |loss, row| {
+            losses.push(loss);
+            if clip_add(row, &mut partial.clean_sum) <= bound {
+                partial.unclipped += 1;
+            }
+        });
+        partial.loss_total = losses.iter().sum();
+    };
+    let ranges = chunk_ranges(n);
+    let mut out = ClipLoopOutput::zero(dim);
+    match pool {
+        Some(pool) if ranges.len() > 1 => {
+            let partials: Vec<ClipLoopOutput> = pool.install(|| {
+                ranges
+                    .into_par_iter()
+                    .map(|range| {
+                        let mut row = vec![T::default(); dim];
+                        let mut partial = ClipLoopOutput::zero(dim);
+                        run_chunk(range, &mut row, &mut partial);
+                        partial
+                    })
+                    .collect()
+            });
+            for partial in &partials {
+                out.fold(partial);
             }
         }
-        let loss_total: f64 = losses.iter().sum();
-        drop(chunk_span);
-        ClipLoopOutput {
-            clean_sum,
-            loss_total,
-            unclipped,
+        _ => {
+            let mut row = vec![T::default(); dim];
+            let mut partial = ClipLoopOutput::zero(dim);
+            for range in ranges {
+                partial.clean_sum.fill(0.0);
+                partial.unclipped = 0;
+                run_chunk(range, &mut row, &mut partial);
+                out.fold(&partial);
+            }
         }
-    };
-    fold_partials(run_partials(ranges, run_chunk, pool), dim)
+    }
+    out
 }
 
 /// Clip one f32 gradient row against `clipping` and add it into the f64
@@ -283,39 +339,6 @@ fn chunk_ranges(n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Run the per-chunk closure over every range, on the pool when given.
-fn run_partials<F>(
-    ranges: Vec<(usize, usize)>,
-    run_chunk: F,
-    pool: Option<&ThreadPool>,
-) -> Vec<ClipLoopOutput>
-where
-    F: Fn((usize, usize)) -> ClipLoopOutput + Sync + Send,
-{
-    match pool {
-        Some(pool) if ranges.len() > 1 => {
-            pool.install(|| ranges.into_par_iter().map(&run_chunk).collect())
-        }
-        _ => ranges.into_iter().map(run_chunk).collect(),
-    }
-}
-
-/// Fold the partials in chunk-index order — the fixed-order reduction that
-/// keeps the sum independent of scheduling.
-fn fold_partials(partials: Vec<ClipLoopOutput>, dim: usize) -> ClipLoopOutput {
-    let mut out = ClipLoopOutput {
-        clean_sum: vec![0.0; dim],
-        loss_total: 0.0,
-        unclipped: 0,
-    };
-    for p in partials {
-        axpy(1.0, &p.clean_sum, &mut out.clean_sum);
-        out.loss_total += p.loss_total;
-        out.unclipped += p.unclipped;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +364,27 @@ mod tests {
             .collect();
         let ys: Vec<usize> = (0..n).map(|i| i % 3).collect();
         (model, xs, ys)
+    }
+
+    /// The f64 oracle clip loop on the native backend.
+    fn clip_loop(
+        model: &Sequential,
+        xs: &[Tensor],
+        ys: &[usize],
+        clipping: &ClippingStrategy,
+        layout: &[usize],
+        pool: Option<&ThreadPool>,
+    ) -> ClipLoopOutput {
+        clip_loop_mode(
+            model,
+            xs,
+            ys,
+            clipping,
+            layout,
+            pool,
+            ComputeMode::F64,
+            Backend::native(),
+        )
     }
 
     #[test]
@@ -465,27 +509,6 @@ mod tests {
             for (a, e) in parallel.clean_sum.iter().zip(&serial.clean_sum) {
                 assert_eq!(a.to_bits(), e.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn f64_mode_delegates_to_oracle_bitwise() {
-        let (model, xs, ys) = setup(CLIP_CHUNK + 4);
-        let clipping = ClippingStrategy::Flat(0.9);
-        let layout = model.param_layout();
-        let a = clip_loop(&model, &xs, &ys, &clipping, &layout, None);
-        let b = clip_loop_mode(
-            &model,
-            &xs,
-            &ys,
-            &clipping,
-            &layout,
-            None,
-            ComputeMode::F64,
-            Backend::native(),
-        );
-        for (x, y) in a.clean_sum.iter().zip(&b.clean_sum) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

@@ -20,10 +20,13 @@ use dpaudit_dp::RdpAccountant;
 use dpaudit_math::{axpy, GaussianSampler};
 use dpaudit_nn::Sequential;
 use dpaudit_obs as obs;
+use dpaudit_tensor::Backend;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::clip::ClippingStrategy;
+use crate::config::ComputeMode;
+use crate::exec::{batch_pool, clip_loop_mode};
 
 /// Configuration of a federated DPSGD run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,6 +132,7 @@ pub fn train_federated<R: Rng + ?Sized>(
     let sigma = cfg.noise_multiplier * bound;
     let mut gauss = GaussianSampler::new();
     let mut accountant = RdpAccountant::new();
+    let pool = batch_pool();
 
     // Union view for the (simulated) normalisation-statistics refresh.
     let union: Vec<_> = clients.iter().flat_map(|c| c.xs.iter().cloned()).collect();
@@ -142,16 +146,20 @@ pub fn train_federated<R: Rng + ?Sized>(
         let mut clean_total = vec![0.0; dim];
         let mut loss_total = 0.0;
         for shard in clients {
-            let mut sum = vec![0.0; dim];
-            for (x, &y) in shard.xs.iter().zip(&shard.ys) {
-                let (loss, mut g) = model.per_example_grad(x, y);
-                cfg.clipping.clip(&mut g, &layout);
-                loss_total += loss;
-                axpy(1.0, &g, &mut sum);
-            }
-            axpy(1.0, &sum, &mut clean_total);
+            let clipped = clip_loop_mode(
+                model,
+                &shard.xs,
+                &shard.ys,
+                &cfg.clipping,
+                &layout,
+                pool.as_ref(),
+                ComputeMode::F64,
+                Backend::native(),
+            );
+            loss_total += clipped.loss_total;
+            axpy(1.0, &clipped.clean_sum, &mut clean_total);
             if cfg.retain_client_sums {
-                client_sums.push(sum);
+                client_sums.push(clipped.clean_sum);
             }
         }
 

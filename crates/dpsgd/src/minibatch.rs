@@ -6,18 +6,22 @@
 //! accountant of `dpaudit-dp` tracks (`add_subsampled_gaussian_step`). This
 //! module provides that trainer: per step every record enters the batch
 //! independently with probability `q`, per-example gradients are clipped and
-//! summed, Gaussian noise scaled to the clip bound is added, and the update
-//! divides by the expected batch size `q·n`.
+//! summed by the batched clip loop ([`crate::exec::clip_loop_mode`], f64 on
+//! the native backend), Gaussian noise scaled to the clip bound is added, and
+//! the update divides by the expected batch size `q·n`.
 
 use dpaudit_datasets::Dataset;
 use dpaudit_dp::RdpAccountant;
-use dpaudit_math::{axpy, GaussianSampler};
+use dpaudit_math::GaussianSampler;
 use dpaudit_nn::Sequential;
 use dpaudit_obs as obs;
+use dpaudit_tensor::Backend;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::clip::ClippingStrategy;
+use crate::config::ComputeMode;
+use crate::exec::{batch_pool, clip_loop_mode};
 
 /// Configuration of a mini-batch DPSGD run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,7 +106,6 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> MinibatchOutcome {
     assert!(!data.is_empty(), "train_minibatch_dpsgd: empty dataset");
-    let dim = model.param_count();
     let layout = model.param_layout();
     let bound = cfg.clipping.total_bound();
     let sigma = cfg.noise_multiplier * bound;
@@ -112,7 +115,7 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     let mut batch_sizes = Vec::with_capacity(cfg.steps);
     let mut losses = Vec::with_capacity(cfg.steps);
     let mut last_loss = f64::NAN;
-    let refresh_norm_stats = model.has_batch_norm();
+    let pool = batch_pool();
 
     for _ in 0..cfg.steps {
         // Poisson sampling: each record independently with probability q.
@@ -121,25 +124,28 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
             .collect();
         batch_sizes.push(batch.len());
 
-        if refresh_norm_stats && !batch.is_empty() {
-            let _span = obs::span(obs::names::NORM_STATS_SPAN);
-            let batch_xs: Vec<_> = batch.iter().map(|&i| data.xs[i].clone()).collect();
-            model.update_norm_stats(&batch_xs);
-        }
+        let batch_xs: Vec<_> = batch.iter().map(|&i| data.xs[i].clone()).collect();
+        let batch_ys: Vec<_> = batch.iter().map(|&i| data.ys[i]).collect();
+        let norm_stats_span = obs::span(obs::names::NORM_STATS_SPAN);
+        model.update_norm_stats(&batch_xs);
+        drop(norm_stats_span);
 
-        let mut sum = vec![0.0; dim];
-        let mut loss_total = 0.0;
-        for &i in &batch {
-            let (loss, mut g) = model.per_example_grad(&data.xs[i], data.ys[i]);
-            cfg.clipping.clip(&mut g, &layout);
-            loss_total += loss;
-            axpy(1.0, &g, &mut sum);
-        }
+        let clipped = clip_loop_mode(
+            model,
+            &batch_xs,
+            &batch_ys,
+            &cfg.clipping,
+            &layout,
+            pool.as_ref(),
+            ComputeMode::F64,
+            Backend::native(),
+        );
         if !batch.is_empty() {
-            last_loss = loss_total / batch.len() as f64;
+            last_loss = clipped.loss_total / batch.len() as f64;
         }
         losses.push(last_loss);
 
+        let mut sum = clipped.clean_sum;
         for v in &mut sum {
             *v += gauss.sample(rng, 0.0, sigma);
         }

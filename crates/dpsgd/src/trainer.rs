@@ -1,8 +1,12 @@
-//! The DPSGD training loop.
+//! The DPSGD training loop: one step loop shared by the full-batch audit
+//! protocol and Poisson-subsampled training.
+
+use std::borrow::Cow;
 
 use dpaudit_math::{l2_distance, l2_norm, GaussianSampler};
 use dpaudit_nn::Sequential;
 use dpaudit_obs as obs;
+use dpaudit_tensor::Tensor;
 use rand::Rng;
 
 use crate::clip::ClippingStrategy;
@@ -34,133 +38,24 @@ pub fn train_dpsgd<R: Rng + ?Sized>(
     train_on_d: bool,
     cfg: &DpsgdConfig,
     rng: &mut R,
-    mut observer: impl FnMut(StepRecord),
+    observer: impl FnMut(StepRecord),
 ) {
-    let data = pair.trained_dataset(train_on_d);
-    assert!(!data.is_empty(), "train_dpsgd: empty training set");
-    let public_n = pair.d.len() as f64;
-    let dim = model.param_count();
-    let layout = model.param_layout();
-    let mut gauss = GaussianSampler::new();
-    // Intra-trial parallelism for the clip loop (see `exec`): one pool per
-    // training run, `None` when the knob says sequential.
-    let pool = batch_pool();
-    // Resolve the compute backend once per training run; every gemm below
-    // (clip loop and differing-record gradients) routes through this handle.
-    // Callers are expected to have validated availability at session setup,
-    // so an unresolvable backend here is a programming error.
-    let backend = cfg
-        .backend
-        .resolve()
-        .unwrap_or_else(|e| panic!("train_dpsgd: {e}"));
-
-    // The clipping strategy in force; adaptive clipping mutates the flat
-    // norm between steps.
-    let mut clipping = cfg.clipping.clone();
-    let mut optimizer = OptimizerState::new(cfg.optimizer, dim);
-
-    for step in 0..cfg.steps {
-        let norm_stats_span = obs::span(obs::names::NORM_STATS_SPAN);
-        model.update_norm_stats(&data.xs);
-        drop(norm_stats_span);
-        let bound = clipping.total_bound();
-
-        let clip_span = obs::span(obs::names::CLIP_SPAN);
-        let clipped = clip_loop_mode(
-            model,
-            &data.xs,
-            &data.ys,
-            &clipping,
-            &layout,
-            pool.as_ref(),
-            cfg.compute,
-            backend,
-        );
-        let (clean_sum, loss_total, unclipped) =
-            (clipped.clean_sum, clipped.loss_total, clipped.unclipped);
-        drop(clip_span);
-
-        let noise_span = obs::span(obs::names::NOISE_SPAN);
-        // Differing-record gradients at the current public state.
-        let diff_grads_span = obs::span(obs::names::DIFF_GRADS_SPAN);
-        let (x1, y1) = pair.x1();
-        let (_, mut grad_x1) = model.per_example_grad_on(backend, x1, y1);
-        clipping.clip(&mut grad_x1, &layout);
-        let grad_x2 = pair.x2.as_ref().map(|(x2, y2)| {
-            let (_, mut g) = model.per_example_grad_on(backend, x2, *y2);
-            clipping.clip(&mut g, &layout);
-            g
-        });
-        drop(diff_grads_span);
-        let local_sensitivity = match &grad_x2 {
-            Some(g2) => l2_distance(&grad_x1, g2),
-            None => l2_norm(&grad_x1),
-        };
-
-        let sensitivity_used = cfg.sensitivity_for_step(local_sensitivity, bound);
-        let sigma = cfg.noise_multiplier * sensitivity_used;
-
-        let mut noisy_sum = clean_sum.clone();
-        for v in &mut noisy_sum {
-            *v += gauss.sample(rng, 0.0, sigma);
-        }
-        drop(noise_span);
-
-        let update_span = obs::span(obs::names::UPDATE_SPAN);
-        // θ updated from g̃/|D| (public divisor; see function docs) via the
-        // configured optimizer — post-processing of the released gradient.
-        let update: Vec<f64> = noisy_sum.iter().map(|v| v / public_n).collect();
-        optimizer.apply(model, &update, cfg.learning_rate);
-
-        // Steer the clip norm for the next step (adaptive extension).
-        if let Some(adaptive) = &cfg.adaptive {
-            if let ClippingStrategy::Flat(c) = &mut clipping {
-                *c = adaptive.updated_norm(*c, unclipped as f64 / data.len() as f64);
-            }
-        }
-        drop(update_span);
-
-        if obs::enabled() {
-            obs::counter(obs::names::STEPS, 1);
-            obs::counter(obs::names::EXAMPLES_SEEN, data.len() as u64);
-            obs::counter(
-                obs::names::EXAMPLES_CLIPPED,
-                (data.len() - unclipped) as u64,
-            );
-            // Effective per-step noise multiplier zᵢ = σᵢ / sᵢ against the
-            // *realised* local sensitivity — the quantity the §6.4 ledger
-            // composes. Under local scaling it sits at the planned z; under
-            // global scaling its spread shows the wasted noise.
-            if local_sensitivity > 0.0 {
-                obs::observe(obs::names::NOISE_MULTIPLIER_HIST, sigma / local_sensitivity);
-            }
-        }
-
-        observer(StepRecord {
-            step,
-            noisy_sum,
-            clean_sum,
-            grad_x1,
-            grad_x2,
-            local_sensitivity,
-            clip_bound: bound,
-            sensitivity_used,
-            sigma,
-            mean_loss: loss_total / data.len() as f64,
-        });
-    }
+    let batches = BatchSelector::<R>::Full;
+    train_steps(model, pair, train_on_d, cfg, batches, rng, observer);
 }
 
 /// Run `cfg.steps` Poisson-subsampled DPSGD steps on `model` for the DI
 /// challenge protocol, streaming one [`StepRecord`] per step to `observer`.
 ///
-/// The mini-batch counterpart of [`train_dpsgd`]: per step every record of
-/// the trained dataset enters the batch independently with probability `q`
-/// (drawn from `sample_rng`, a stream separate from the noise stream so
-/// callers can keep their full-batch seed conventions untouched), the
-/// clipped per-example gradients of the batch are summed, Gaussian noise is
-/// added, and the update divides by the *public* expected batch size
-/// `q·|D|`.
+/// The mini-batch counterpart of [`train_dpsgd`], on the same step loop and
+/// the same batched clip loop (honouring `cfg.compute`, `cfg.backend` and
+/// the batch-thread knob): per step every record of the trained dataset
+/// enters the batch independently with probability `q` (drawn from
+/// `sample_rng`, a stream separate from the noise stream so callers can keep
+/// their full-batch seed conventions untouched), the clipped per-example
+/// gradients of the batch are summed in the clip loop's fixed chunk order,
+/// Gaussian noise is added, and the update divides by the *public* expected
+/// batch size `q·|D|`.
 ///
 /// Differences from the full-batch audit protocol, dictated by the
 /// subsampled Gaussian RDP accountant the privacy claim composes through
@@ -186,69 +81,107 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
     q: f64,
     noise_rng: &mut R,
     sample_rng: &mut S,
-    mut observer: impl FnMut(StepRecord),
+    observer: impl FnMut(StepRecord),
 ) {
-    let data = pair.trained_dataset(train_on_d);
-    assert!(
-        !data.is_empty(),
-        "train_dpsgd_subsampled: empty training set"
-    );
     assert!(
         q.is_finite() && q > 0.0 && q <= 1.0,
         "train_dpsgd_subsampled: q must be in (0, 1], got {q}"
     );
+    let batches = BatchSelector::Poisson { q, sample_rng };
+    train_steps(model, pair, train_on_d, cfg, batches, noise_rng, observer);
+}
+
+/// How each step of [`train_steps`] assembles its batch.
+enum BatchSelector<'a, S: ?Sized> {
+    /// The whole trained dataset (the paper's audit protocol).
+    Full,
+    /// Every record independently with probability `q`, drawn from
+    /// `sample_rng`.
+    Poisson { q: f64, sample_rng: &'a mut S },
+}
+
+/// The step loop behind [`train_dpsgd`] and [`train_dpsgd_subsampled`].
+///
+/// Only three things depend on the batch selector: which examples a step
+/// sums over, the sensitivity the noise is scaled to (the configured
+/// scaling for full batches, the clip bound under Poisson sampling), and
+/// the public divisor of the update (`|D|`, or the expected batch size
+/// `max(q·|D|, 1)`).
+fn train_steps<R: Rng + ?Sized, S: Rng + ?Sized>(
+    model: &mut Sequential,
+    pair: &NeighborPair,
+    train_on_d: bool,
+    cfg: &DpsgdConfig,
+    mut batches: BatchSelector<'_, S>,
+    noise_rng: &mut R,
+    mut observer: impl FnMut(StepRecord),
+) {
+    let data = pair.trained_dataset(train_on_d);
+    assert!(!data.is_empty(), "train_dpsgd: empty training set");
     let public_n = pair.d.len() as f64;
-    let expected_batch = (q * public_n).max(1.0);
+    let divisor = match &batches {
+        BatchSelector::Full => public_n,
+        BatchSelector::Poisson { q, .. } => (q * public_n).max(1.0),
+    };
     let dim = model.param_count();
     let layout = model.param_layout();
     let mut gauss = GaussianSampler::new();
+    // Intra-trial parallelism for the clip loop (see `exec`): one pool per
+    // training run, `None` when the knob says sequential.
+    let pool = batch_pool();
+    // Resolve the compute backend once per training run; every gemm below
+    // (clip loop and differing-record gradients) routes through this handle.
+    // Callers are expected to have validated availability at session setup,
+    // so an unresolvable backend here is a programming error.
     let backend = cfg
         .backend
         .resolve()
-        .unwrap_or_else(|e| panic!("train_dpsgd_subsampled: {e}"));
-    let refresh_norm_stats = model.has_batch_norm();
+        .unwrap_or_else(|e| panic!("train_dpsgd: {e}"));
 
+    // The clipping strategy in force; adaptive clipping mutates the flat
+    // norm between steps.
     let mut clipping = cfg.clipping.clone();
     let mut optimizer = OptimizerState::new(cfg.optimizer, dim);
 
     for step in 0..cfg.steps {
-        // Poisson sampling: each record independently with probability q,
-        // from the dedicated sampling stream.
-        let batch: Vec<usize> = (0..data.len())
-            .filter(|_| sample_rng.gen::<f64>() < q)
-            .collect();
+        let (xs, ys): (Cow<[Tensor]>, Cow<[usize]>) = match &mut batches {
+            BatchSelector::Full => (Cow::Borrowed(&data.xs), Cow::Borrowed(&data.ys)),
+            BatchSelector::Poisson { q, sample_rng } => {
+                let picked: Vec<usize> = (0..data.len())
+                    .filter(|_| sample_rng.gen::<f64>() < *q)
+                    .collect();
+                (
+                    picked.iter().map(|&i| data.xs[i].clone()).collect(),
+                    picked.iter().map(|&i| data.ys[i]).collect(),
+                )
+            }
+        };
+        let n = xs.len();
 
-        // Gathering the sampled examples only feeds the refresh, so a model
-        // without batch norm skips both.
-        if refresh_norm_stats && !batch.is_empty() {
-            let _span = obs::span(obs::names::NORM_STATS_SPAN);
-            let batch_xs: Vec<_> = batch.iter().map(|&i| data.xs[i].clone()).collect();
-            model.update_norm_stats(&batch_xs);
-        }
+        let norm_stats_span = obs::span(obs::names::NORM_STATS_SPAN);
+        model.update_norm_stats(&xs);
+        drop(norm_stats_span);
         let bound = clipping.total_bound();
 
         let clip_span = obs::span(obs::names::CLIP_SPAN);
-        let mut clean_sum = vec![0.0; dim];
-        let mut loss_total = 0.0;
-        let mut unclipped = 0usize;
-        for &i in &batch {
-            let (loss, mut g) = model.per_example_grad_on(backend, &data.xs[i], data.ys[i]);
-            let norm = l2_norm(&g);
-            clipping.clip(&mut g, &layout);
-            if norm <= bound {
-                unclipped += 1;
-            }
-            loss_total += loss;
-            for (a, b) in clean_sum.iter_mut().zip(&g) {
-                *a += b;
-            }
-        }
+        let clipped = clip_loop_mode(
+            model,
+            &xs,
+            &ys,
+            &clipping,
+            &layout,
+            pool.as_ref(),
+            cfg.compute,
+            backend,
+        );
+        let (clean_sum, loss_total, unclipped) =
+            (clipped.clean_sum, clipped.loss_total, clipped.unclipped);
         drop(clip_span);
 
         let noise_span = obs::span(obs::names::NOISE_SPAN);
-        // Differing-record gradients at the current public state, recorded
-        // for the adversary's (batch-conditional) hypothesis centers and
-        // the local-sensitivity diagnostics.
+        // Differing-record gradients at the current public state — under
+        // Poisson sampling the adversary's (batch-conditional) hypothesis
+        // centers and the local-sensitivity diagnostics.
         let diff_grads_span = obs::span(obs::names::DIFF_GRADS_SPAN);
         let (x1, y1) = pair.x1();
         let (_, mut grad_x1) = model.per_example_grad_on(backend, x1, y1);
@@ -264,9 +197,12 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
             None => l2_norm(&grad_x1),
         };
 
-        // σ = z·C: the add/remove sensitivity the subsampled accountant
-        // assumes (see function docs).
-        let sensitivity_used = bound;
+        let sensitivity_used = match batches {
+            BatchSelector::Full => cfg.sensitivity_for_step(local_sensitivity, bound),
+            // σ = z·C: the add/remove sensitivity the subsampled accountant
+            // assumes (see `train_dpsgd_subsampled`).
+            BatchSelector::Poisson { .. } => bound,
+        };
         let sigma = cfg.noise_multiplier * sensitivity_used;
 
         let mut noisy_sum = clean_sum.clone();
@@ -276,25 +212,28 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
         drop(noise_span);
 
         let update_span = obs::span(obs::names::UPDATE_SPAN);
-        let update: Vec<f64> = noisy_sum.iter().map(|v| v / expected_batch).collect();
+        // θ updated from the perturbed sum over the public divisor (see the
+        // trainers' docs) via the configured optimizer — post-processing of
+        // the released gradient.
+        let update: Vec<f64> = noisy_sum.iter().map(|v| v / divisor).collect();
         optimizer.apply(model, &update, cfg.learning_rate);
 
-        if let Some(adaptive) = &cfg.adaptive {
-            if let ClippingStrategy::Flat(c) = &mut clipping {
-                if !batch.is_empty() {
-                    *c = adaptive.updated_norm(*c, unclipped as f64 / batch.len() as f64);
-                }
+        // Steer the clip norm for the next step (adaptive extension).
+        if let (Some(adaptive), ClippingStrategy::Flat(c)) = (&cfg.adaptive, &mut clipping) {
+            if n > 0 {
+                *c = adaptive.updated_norm(*c, unclipped as f64 / n as f64);
             }
         }
         drop(update_span);
 
         if obs::enabled() {
             obs::counter(obs::names::STEPS, 1);
-            obs::counter(obs::names::EXAMPLES_SEEN, batch.len() as u64);
-            obs::counter(
-                obs::names::EXAMPLES_CLIPPED,
-                (batch.len() - unclipped) as u64,
-            );
+            obs::counter(obs::names::EXAMPLES_SEEN, n as u64);
+            obs::counter(obs::names::EXAMPLES_CLIPPED, (n - unclipped) as u64);
+            // Effective per-step noise multiplier zᵢ = σᵢ / sᵢ against the
+            // *realised* local sensitivity — the quantity the §6.4 ledger
+            // composes. Under local scaling it sits at the planned z; under
+            // global scaling its spread shows the wasted noise.
             if local_sensitivity > 0.0 {
                 obs::observe(obs::names::NOISE_MULTIPLIER_HIST, sigma / local_sensitivity);
             }
@@ -310,11 +249,7 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
             clip_bound: bound,
             sensitivity_used,
             sigma,
-            mean_loss: if batch.is_empty() {
-                0.0
-            } else {
-                loss_total / batch.len() as f64
-            },
+            mean_loss: if n == 0 { 0.0 } else { loss_total / n as f64 },
         });
     }
 }
@@ -707,11 +642,113 @@ mod tests {
             &mut seeded_rng(29),
             |r| records.push(r),
         );
-        // q = 1 includes every record: the clean sum equals the full-batch
-        // clipped sum at the same state (first step shares θ₀).
+        // q = 1 includes every record: the clean sum is the full-batch
+        // clipped sum at the same state (first step shares θ₀), bit for bit —
+        // both trainers run the same clip loop over the same chunks.
         let mut m2 = model0.clone();
         let t = train_collect(&mut m2, &pair, true, &c, &mut seeded_rng(28));
-        assert!(l2_distance(&records[0].clean_sum, &t.steps[0].clean_sum) < 1e-9);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&records[0].clean_sum), bits(&t.steps[0].clean_sum));
+        assert_eq!(
+            records[0].mean_loss.to_bits(),
+            t.steps[0].mean_loss.to_bits()
+        );
+    }
+
+    /// A pair over 50 records: Poisson batches at q = 0.8 span several
+    /// clip-loop chunks.
+    fn chunked_setup(seed: u64) -> (Sequential, NeighborPair) {
+        let mut rng = seeded_rng(seed);
+        let model = Sequential::new(vec![
+            Layer::Dense(Dense::new(&mut rng, 8, 6)),
+            Layer::Relu,
+            Layer::Dense(Dense::new(&mut rng, 6, 3)),
+        ]);
+        let mut d = dpaudit_datasets::Dataset::empty();
+        for i in 0..50 {
+            let x: Vec<f64> = (0..8)
+                .map(|j| ((i * 13 + j * 7) % 17) as f64 / 17.0 - 0.4)
+                .collect();
+            d.push(Tensor::from_vec(&[8], x), i % 3);
+        }
+        let pair = NeighborPair::from_spec(&d, &NeighborSpec::Remove { index: 4 });
+        (model, pair)
+    }
+
+    /// Step records of a Poisson run (q = 0.8, fixed seeds) in `compute`.
+    fn poisson_records(compute: crate::config::ComputeMode) -> Vec<StepRecord> {
+        let (mut model, pair) = chunked_setup(33);
+        let mut c = DpsgdConfig::new(
+            0.5,
+            0.05,
+            4,
+            NeighborMode::Unbounded,
+            1.5,
+            SensitivityScaling::Global,
+        );
+        c.compute = compute;
+        let mut records = Vec::new();
+        train_dpsgd_subsampled(
+            &mut model,
+            &pair,
+            true,
+            &c,
+            0.8,
+            &mut seeded_rng(34),
+            &mut seeded_rng(35),
+            |r| records.push(r),
+        );
+        records
+    }
+
+    fn record_bits(records: &[StepRecord]) -> Vec<u64> {
+        records
+            .iter()
+            .flat_map(|r| {
+                r.noisy_sum
+                    .iter()
+                    .chain(&r.clean_sum)
+                    .chain(&r.grad_x1)
+                    .chain([&r.mean_loss, &r.sigma, &r.local_sensitivity])
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn subsampled_records_are_bit_identical_across_batch_threads() {
+        // The Poisson trainer runs the chunked clip loop, so the batch-thread
+        // knob may change speed only — in either precision.
+        let before = crate::exec::batch_threads();
+        for compute in [
+            crate::config::ComputeMode::F64,
+            crate::config::ComputeMode::F32,
+        ] {
+            crate::exec::set_batch_threads(1);
+            let serial = record_bits(&poisson_records(compute));
+            for threads in [2, 4] {
+                crate::exec::set_batch_threads(threads);
+                let parallel = record_bits(&poisson_records(compute));
+                assert!(serial == parallel, "{compute} at {threads} batch threads");
+            }
+        }
+        crate::exec::set_batch_threads(before);
+    }
+
+    #[test]
+    fn subsampled_f32_records_track_f64_within_tolerance() {
+        // Same seeds, so the same batches and noise draws: f32 compute must
+        // really run (the records move) yet stay within f32 rounding.
+        let r64 = poisson_records(crate::config::ComputeMode::F64);
+        let r32 = poisson_records(crate::config::ComputeMode::F32);
+        assert_ne!(record_bits(&r64), record_bits(&r32));
+        for (a, b) in r64.iter().zip(&r32) {
+            let scale = l2_norm(&a.clean_sum).max(1.0);
+            let err = l2_distance(&a.clean_sum, &b.clean_sum);
+            assert!(err < 1e-4 * scale, "step {}: drift {err}", a.step);
+            assert!((a.mean_loss - b.mean_loss).abs() < 1e-4);
+        }
     }
 
     #[test]

@@ -189,6 +189,8 @@ impl Coordinator {
         }
         std::fs::create_dir_all(&self.config.store_dir)?;
         let store_path = self.config.store_dir.join(format!("{job}.jsonl"));
+        // Leased to workers as written, so shard headers match the store's.
+        let header = header.stamped();
         let store = TrialStore::create(&store_path, &header)?;
         let reps = header.reps;
         state.jobs.insert(

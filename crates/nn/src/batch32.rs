@@ -3,14 +3,14 @@
 //! [`SequentialF32`] is a single-precision shadow of a [`Sequential`] model:
 //! parameters are narrowed to f32 once per construction, the batched
 //! forward/backward passes run entirely in f32 (halving the memory traffic
-//! of the `[B, param]` gradient buffers and activations, and doubling SIMD
-//! lane width), and the per-example gradients come back as one flat
-//! `[B, param_count]` f32 buffer. Losses — and the softmax that produces the
-//! logit gradients — are computed in f64 from widened logits, and the DPSGD
-//! clip loop widens each gradient value back to f64 on the fly as it flows
-//! into the fixed-order `CLIP_CHUNK` reduction, so the *accumulation* stays
-//! f64 end to end; only
-//! the per-example storage is single precision. f32 mode is therefore a
+//! of the gradient rows and activations, and doubling SIMD lane width), and
+//! the per-example gradients stream one f32 row at a time through
+//! [`SequentialF32::visit_example_grads_on`]. Losses — and the softmax that
+//! produces the logit gradients — are computed in f64 from widened logits,
+//! and the DPSGD clip loop widens each gradient value back to f64 on the fly
+//! as it flows into the fixed-order `CLIP_CHUNK` reduction, so the
+//! *accumulation* stays f64 end to end; only the per-example storage is
+//! single precision. f32 mode is therefore a
 //! tolerance-equivalent of the f64 oracle, not a bit-identical one, and is
 //! opt-in per run.
 
@@ -19,7 +19,7 @@ use dpaudit_tensor::{Backend, Conv2dDims, PoolDims, Tensor};
 use crate::batched;
 use crate::layers::Layer;
 use crate::loss::softmax_cross_entropy;
-use crate::model::Sequential;
+use crate::model::{param_segments, Sequential};
 
 /// One layer of the f32 shadow model. Frozen state (batch-norm statistics)
 /// is pre-folded: only what the forward/backward passes touch is stored.
@@ -83,9 +83,8 @@ fn narrow(v: &[f64]) -> Vec<f32> {
 /// mode of the batched gradient pipeline.
 ///
 /// Built fresh from the current f64 parameters each step (narrowing is
-/// cheap next to a train step); produces per-example gradients in one flat
-/// `[B, param_count]` f32 buffer with exactly the layout of
-/// [`Sequential::per_example_grads`].
+/// cheap next to a train step); produces per-example gradient rows with
+/// exactly the layout of [`Sequential::per_example_grads`].
 pub struct SequentialF32 {
     layers: Vec<LayerF32>,
     dim: usize,
@@ -154,15 +153,49 @@ impl SequentialF32 {
     }
 
     /// [`SequentialF32::per_example_grads`] with the gemms routed through a
-    /// [`Backend`] handle.
+    /// [`Backend`] handle: a collector over
+    /// [`SequentialF32::visit_example_grads_on`].
     pub fn per_example_grads_on(
         &self,
         backend: Backend,
         xs: &[Tensor],
         labels: &[usize],
     ) -> (Vec<f64>, Vec<f32>) {
+        let mut losses = Vec::with_capacity(xs.len());
+        let mut grads = Vec::with_capacity(xs.len() * self.dim);
+        let mut row = vec![0.0f32; self.dim];
+        self.visit_example_grads_on(backend, xs, labels, &mut row, |loss, row| {
+            losses.push(loss);
+            grads.extend_from_slice(row);
+        });
+        (losses, grads)
+    }
+
+    /// Stream the per-example losses (f64) and f32 flat parameter gradients
+    /// of a labelled batch through `visit`, one example at a time, in
+    /// example order — the single-precision counterpart of
+    /// [`Sequential::visit_example_grads_on`], with the same contract: one
+    /// batched forward and delta pass, then each example's row written into
+    /// the caller's reused `row` buffer and handed over as `(loss, row)`.
+    ///
+    /// # Panics
+    /// Panics on an empty batch, a length mismatch, or a `row` that is not
+    /// [`SequentialF32::param_count`] long.
+    pub fn visit_example_grads_on(
+        &self,
+        backend: Backend,
+        xs: &[Tensor],
+        labels: &[usize],
+        row: &mut [f32],
+        mut visit: impl FnMut(f64, &mut [f32]),
+    ) {
         assert_eq!(xs.len(), labels.len(), "per_example_grads: length mismatch");
         assert!(!xs.is_empty(), "per_example_grads: empty batch");
+        assert_eq!(
+            row.len(),
+            self.dim,
+            "per_example_grads: row buffer must hold one gradient"
+        );
         let batch = xs.len();
         let mut shape = xs[0].shape().to_vec();
         let ex_len: usize = shape.iter().product();
@@ -188,8 +221,8 @@ impl SequentialF32 {
         let mut losses = Vec::with_capacity(batch);
         let mut d: Vec<f32> = Vec::with_capacity(batch * classes);
         let mut row64 = vec![0.0f64; classes];
-        for (row, &label) in h.chunks_exact(classes).zip(labels) {
-            for (wide, &v) in row64.iter_mut().zip(row) {
+        for (logits, &label) in h.chunks_exact(classes).zip(labels) {
+            for (wide, &v) in row64.iter_mut().zip(logits) {
                 *wide = f64::from(v);
             }
             let (loss, d_row) = softmax_cross_entropy(&row64, label);
@@ -197,38 +230,37 @@ impl SequentialF32 {
             d.extend(d_row.iter().map(|&v| v as f32));
         }
 
-        // Backward, each layer writing its per-example segments straight
-        // into the flat [B, dim] buffer.
-        let mut flat = vec![0.0f32; batch * self.dim];
-        let mut offsets = Vec::with_capacity(self.layers.len());
-        let mut off = 0;
-        for layer in &self.layers {
-            offsets.push(off);
-            off += layer.param_count();
+        // Delta pass down to the first parameterised layer (the input
+        // gradient is never needed), keeping each parameterised layer's
+        // output gradient for the row writes.
+        let mut deltas: Vec<Option<Vec<f32>>> = vec![None; self.layers.len()];
+        if let Some(first) = self.layers.iter().position(|l| l.param_count() > 0) {
+            for i in (first..self.layers.len()).rev() {
+                let layer = &self.layers[i];
+                let d_in = (i > first)
+                    .then(|| layer_backward_input(backend, layer, &caches[i], &d, batch));
+                if layer.param_count() > 0 {
+                    deltas[i] = Some(d);
+                }
+                match d_in {
+                    Some(d_in) => d = d_in,
+                    None => break,
+                }
+            }
         }
-        for (idx, ((layer, cache), offset)) in self
-            .layers
-            .iter()
-            .zip(&caches)
-            .zip(offsets)
-            .enumerate()
-            .rev()
-        {
-            // The first layer's input gradient is discarded (the input is
-            // data, not a parameter), so its backward gemm is skipped.
-            d = layer_backward(
-                backend,
-                layer,
-                cache,
-                &d,
-                &mut flat,
-                self.dim,
-                offset,
-                batch,
-                idx > 0,
-            );
+        let segments = param_segments(self.layers.iter().map(LayerF32::param_count));
+
+        for (ex, &loss) in losses.iter().enumerate() {
+            for (((layer, cache), delta), segment) in
+                self.layers.iter().zip(&caches).zip(&deltas).zip(&segments)
+            {
+                if let Some(delta) = delta {
+                    let grad = &mut row[segment.clone()];
+                    write_param_grad(backend, layer, cache, delta, batch, ex, grad);
+                }
+            }
+            visit(loss, row);
         }
-        (losses, flat)
     }
 }
 
@@ -330,23 +362,14 @@ fn layer_forward(
     }
 }
 
-/// Backward one layer: consume `d_out` (`[B, out...]` flat), write this
-/// layer's per-example parameter gradients at `flat[b*stride + offset..]`
-/// (segments are zero on entry), and return `d_input`. With `need_d_in`
-/// false (the first layer — the input is data, not a parameter) the Dense
-/// and Conv2d arms skip their input-gradient gemm and return an empty
-/// buffer.
-#[allow(clippy::too_many_arguments)]
-fn layer_backward(
+/// Backward delta pass of one layer: the `[B, in...]` input gradient from
+/// the `[B, out...]` output gradient `d_out`.
+fn layer_backward_input(
     backend: Backend,
     layer: &LayerF32,
     cache: &CacheF32,
     d_out: &[f32],
-    flat: &mut [f32],
-    stride: usize,
-    offset: usize,
     batch: usize,
-    need_d_in: bool,
 ) -> Vec<f32> {
     match (layer, cache) {
         (
@@ -356,26 +379,49 @@ fn layer_backward(
                 out_f,
                 ..
             },
-            CacheF32::Dense { input },
-        ) => batched::dense_backward(
-            backend, d_out, input, weight, flat, stride, offset, batch, *in_f, *out_f, need_d_in,
-        ),
-        (LayerF32::Conv2d { kernels, .. }, CacheF32::Conv2d { patches, dims }) => {
-            batched::conv_backward(
-                backend, d_out, patches, kernels, dims, flat, stride, offset, batch, need_d_in,
-            )
+            CacheF32::Dense { .. },
+        ) => batched::dense_backward_input(backend, d_out, weight, batch, *in_f, *out_f),
+        (LayerF32::Conv2d { kernels, .. }, CacheF32::Conv2d { dims, .. }) => {
+            batched::conv_backward_input(d_out, kernels, dims, batch)
         }
-        (
-            LayerF32::BatchNorm2d { gamma, inv_std, .. },
-            CacheF32::BatchNorm2d { normalized, plane },
-        ) => batched::batchnorm_backward(
-            d_out, normalized, gamma, inv_std, *plane, flat, stride, offset, batch,
-        ),
+        (LayerF32::BatchNorm2d { gamma, inv_std, .. }, CacheF32::BatchNorm2d { plane, .. }) => {
+            batched::batchnorm_backward_input(d_out, gamma, inv_std, *plane)
+        }
         (LayerF32::Relu, CacheF32::Relu { mask }) => batched::relu_backward(d_out, mask),
         (LayerF32::MaxPool2d { .. }, CacheF32::MaxPool2d { argmax, dims }) => {
             batched::maxpool_backward(d_out, argmax, dims)
         }
         (LayerF32::Flatten, CacheF32::Flatten) => d_out.to_vec(),
+        _ => panic!("SequentialF32: cache does not match layer kind"),
+    }
+}
+
+/// Write example `ex`'s parameter gradient of one layer over `grad`, from
+/// the batch's output gradient `d_out` (`batch` examples) and forward cache.
+fn write_param_grad(
+    backend: Backend,
+    layer: &LayerF32,
+    cache: &CacheF32,
+    d_out: &[f32],
+    batch: usize,
+    ex: usize,
+    grad: &mut [f32],
+) {
+    let of_example = |data| batched::example(data, batch, ex);
+    let dy = of_example(d_out);
+    match (layer, cache) {
+        (LayerF32::Dense { .. }, CacheF32::Dense { input }) => {
+            batched::dense_backward(dy, of_example(input), grad);
+        }
+        (LayerF32::Conv2d { .. }, CacheF32::Conv2d { patches, dims }) => {
+            batched::conv_backward(backend, dy, of_example(patches), dims, grad);
+        }
+        (LayerF32::BatchNorm2d { .. }, CacheF32::BatchNorm2d { normalized, plane }) => {
+            batched::batchnorm_backward(dy, of_example(normalized), *plane, grad);
+        }
+        (LayerF32::Relu, CacheF32::Relu { .. })
+        | (LayerF32::MaxPool2d { .. }, CacheF32::MaxPool2d { .. })
+        | (LayerF32::Flatten, CacheF32::Flatten) => {}
         _ => panic!("SequentialF32: cache does not match layer kind"),
     }
 }

@@ -12,11 +12,22 @@
 //!
 //! All helpers work on flat row-major `[B, ...]` slices; shape validation
 //! stays with the callers (which own the layer structs and batch shapes).
+//! Backward is split in two: the `*_backward_input` helpers propagate the
+//! whole batch's deltas (the `d_in` gemms), and the `*_backward` helpers
+//! write one example's parameter gradient over its segment of a gradient
+//! row — the per-example row visitor calls them one example at a time,
+//! into one reused row.
 
 use dpaudit_tensor::{
     conv2d_backward_input_into, conv2d_backward_params_on, conv2d_forward_gemm_on,
     maxpool2d_backward, maxpool2d_forward, Backend, Conv2dDims, Elem, PoolDims,
 };
+
+/// Example `ex`'s slice of a flat `[batch, ...]` buffer.
+pub(crate) fn example<T>(data: &[T], batch: usize, ex: usize) -> &[T] {
+    let len = data.len() / batch;
+    &data[ex * len..(ex + 1) * len]
+}
 
 /// Batched dense forward `Y = X·Wᵀ + b`: one gemm for the whole batch, the
 /// bias joining after the dot product (matching the scalar layer's
@@ -41,40 +52,33 @@ pub(crate) fn dense_forward<T: Elem>(
     y
 }
 
-/// Batched dense backward: `dX = dY·W` as one gemm (skipped when
-/// `need_d_in` is false — the input is data, not a parameter), and each
-/// example's `[dW | db]` segment written at `flat[b·stride + offset..]` as
-/// the outer product `δ ⊗ x` followed by `δ`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dense_backward<T: Elem>(
+/// Batched dense input gradient `dX = dY·W`: one gemm for the whole batch.
+/// `d_out` is `[B, out_f]`, `weight` is `[out_f, in_f]`; returns `[B, in_f]`.
+pub(crate) fn dense_backward_input<T: Elem>(
     backend: Backend,
     d_out: &[T],
-    input: &[T],
     weight: &[T],
-    flat: &mut [T],
-    stride: usize,
-    offset: usize,
     batch: usize,
     in_f: usize,
     out_f: usize,
-    need_d_in: bool,
 ) -> Vec<T> {
-    let (n, m) = (in_f, out_f);
-    let mut d_in = vec![T::ZERO; if need_d_in { batch * n } else { 0 }];
-    if need_d_in {
-        T::matmul_acc_on(backend, &mut d_in, d_out, weight, batch, m, n);
-    }
-    for (ex, (dy, x)) in d_out.chunks_exact(m).zip(input.chunks_exact(n)).enumerate() {
-        let base = ex * stride + offset;
-        let row = &mut flat[base..base + m * n + m];
-        for (j, &dv) in dy.iter().enumerate() {
-            for (dst, &xv) in row[j * n..(j + 1) * n].iter_mut().zip(x) {
-                *dst = dv * xv;
-            }
-        }
-        row[m * n..].copy_from_slice(dy);
-    }
+    let mut d_in = vec![T::ZERO; batch * in_f];
+    T::matmul_acc_on(backend, &mut d_in, d_out, weight, batch, out_f, in_f);
     d_in
+}
+
+/// One example's dense parameter gradient `[dW | db]` — the outer product
+/// `δ ⊗ x` followed by `δ` — written over `grad` (`out_f·in_f + out_f`
+/// values).
+pub(crate) fn dense_backward<T: Elem>(d_out: &[T], input: &[T], grad: &mut [T]) {
+    let n = input.len();
+    let (d_w, d_b) = grad.split_at_mut(d_out.len() * n);
+    for (dst_row, &dv) in d_w.chunks_exact_mut(n).zip(d_out) {
+        for (dst, &xv) in dst_row.iter_mut().zip(input) {
+            *dst = dv * xv;
+        }
+    }
+    d_b.copy_from_slice(d_out);
 }
 
 /// Batched convolution forward: per-example `im2col` lowering and one
@@ -103,46 +107,37 @@ pub(crate) fn conv_forward<T: Elem>(
     (out, patches)
 }
 
-/// Batched convolution backward: per-example parameter gradients written
-/// straight into the caller's `[dK | db]` segment of `flat`, and the input
-/// gradient (the transposed convolution) computed only when `need_d_in`.
-#[allow(clippy::too_many_arguments)]
+/// Batched convolution input gradient (the transposed convolution), one
+/// example at a time. Returns `[B, in_c, in_h, in_w]`.
+pub(crate) fn conv_backward_input<T: Elem>(
+    d_out: &[T],
+    kernels: &[T],
+    dims: &Conv2dDims,
+    batch: usize,
+) -> Vec<T> {
+    let out_len = dims.out_channels * dims.patch_rows();
+    let in_len = dims.in_channels * dims.in_h * dims.in_w;
+    let mut d_in = vec![T::ZERO; batch * in_len];
+    for (dy, dx) in d_out
+        .chunks_exact(out_len)
+        .zip(d_in.chunks_exact_mut(in_len))
+    {
+        conv2d_backward_input_into(kernels, dy, dims, dx);
+    }
+    d_in
+}
+
+/// One example's convolution parameter gradient `[dK | db]` from its patch
+/// matrix, written over `grad`.
 pub(crate) fn conv_backward<T: Elem>(
     backend: Backend,
     d_out: &[T],
     patches: &[T],
-    kernels: &[T],
     dims: &Conv2dDims,
-    flat: &mut [T],
-    stride: usize,
-    offset: usize,
-    batch: usize,
-    need_d_in: bool,
-) -> Vec<T> {
-    let (rows, cols) = (dims.patch_rows(), dims.patch_cols());
-    let out_len = dims.out_channels * rows;
-    let kernel_len = dims.out_channels * cols;
-    let in_len = dims.in_channels * dims.in_h * dims.in_w;
-    let mut d_in = vec![T::ZERO; if need_d_in { batch * in_len } else { 0 }];
-    for (ex, (dy, p)) in d_out
-        .chunks_exact(out_len)
-        .zip(patches.chunks_exact(rows * cols))
-        .enumerate()
-    {
-        let base = ex * stride + offset;
-        let row = &mut flat[base..base + kernel_len + dims.out_channels];
-        let (d_k, d_b) = row.split_at_mut(kernel_len);
-        conv2d_backward_params_on(backend, p, dy, dims, d_k, d_b);
-        if need_d_in {
-            conv2d_backward_input_into(
-                kernels,
-                dy,
-                dims,
-                &mut d_in[ex * in_len..(ex + 1) * in_len],
-            );
-        }
-    }
-    d_in
+    grad: &mut [T],
+) {
+    let (d_k, d_b) = grad.split_at_mut(dims.out_channels * dims.patch_cols());
+    conv2d_backward_params_on(backend, patches, d_out, dims, d_k, d_b);
 }
 
 /// Batched frozen batch-norm forward `y = γ·(x − μ)·inv_std + β`, with the
@@ -175,42 +170,52 @@ pub(crate) fn batchnorm_forward<T: Elem>(
     (out, normalized)
 }
 
-/// Batched frozen batch-norm backward: per-example `[dγ | dβ]` accumulated
-/// in place at `flat[b·stride + offset..]` (segments zero on entry), and
-/// `d_in = dy·γ·inv_std` — the statistics are constants, so the chain rule
-/// is linear.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn batchnorm_backward<T: Elem>(
+/// Batched frozen batch-norm input gradient `d_in = dy·γ·inv_std` — the
+/// statistics are constants, so the chain rule is linear.
+pub(crate) fn batchnorm_backward_input<T: Elem>(
     d_out: &[T],
-    normalized: &[T],
     gamma: &[T],
     inv_std: &[T],
     plane: usize,
-    flat: &mut [T],
-    stride: usize,
-    offset: usize,
-    batch: usize,
 ) -> Vec<T> {
     let channels = gamma.len();
-    let ex_len = channels * plane;
-    let mut d_in = vec![T::ZERO; normalized.len()];
-    for ex in 0..batch {
-        let ex_base = ex * ex_len;
-        let base = ex * stride + offset;
-        let (d_gamma, d_beta) = flat[base..base + 2 * channels].split_at_mut(channels);
+    let mut d_in = vec![T::ZERO; d_out.len()];
+    for (dy_ex, dx_ex) in d_out
+        .chunks_exact(channels * plane)
+        .zip(d_in.chunks_exact_mut(channels * plane))
+    {
         for c in 0..channels {
-            let g = gamma[c];
-            let is_c = inv_std[c];
+            let (g, is_c) = (gamma[c], inv_std[c]);
             for p in 0..plane {
-                let idx = ex_base + c * plane + p;
-                let dy = d_out[idx];
-                d_gamma[c] += dy * normalized[idx];
-                d_beta[c] += dy;
-                d_in[idx] = dy * g * is_c;
+                let idx = c * plane + p;
+                dx_ex[idx] = dy_ex[idx] * g * is_c;
             }
         }
     }
     d_in
+}
+
+/// One example's frozen batch-norm parameter gradient `[dγ | dβ]`,
+/// accumulated channel by channel, plane position by plane position, over
+/// `grad` (zeroed first).
+pub(crate) fn batchnorm_backward<T: Elem>(
+    d_out: &[T],
+    normalized: &[T],
+    plane: usize,
+    grad: &mut [T],
+) {
+    grad.fill(T::ZERO);
+    let (d_gamma, d_beta) = grad.split_at_mut(grad.len() / 2);
+    for (c, (dy, x_hat)) in d_out
+        .chunks_exact(plane)
+        .zip(normalized.chunks_exact(plane))
+        .enumerate()
+    {
+        for (&dy, &x) in dy.iter().zip(x_hat) {
+            d_gamma[c] += dy * x;
+            d_beta[c] += dy;
+        }
+    }
 }
 
 /// Batched ReLU forward. Returns `(out, mask)`; the mask is the backward

@@ -557,7 +557,7 @@ impl Layer {
     }
 
     /// Forward pass on a `[B, ...]` batch tensor, producing a `[B, ...]`
-    /// output and the cache for [`Layer::backward_batch`].
+    /// output and the cache for the batched backward pass.
     ///
     /// Each example's arithmetic follows the exact accumulation order of the
     /// single-example [`Layer::forward`], so batched outputs are bit-identical
@@ -671,78 +671,46 @@ impl Layer {
         }
     }
 
-    /// Batched backward pass. Returns `d_input`; this layer's per-example
-    /// parameter gradients ([`Layer::param_count`] values each, canonical
-    /// order) are written straight into `d_params` at
-    /// `d_params[b * stride + offset..]` for example `b` — the caller's flat
-    /// `[B, total_params]` buffer, avoiding a per-layer staging copy. The
-    /// target segments must be zero on entry (accumulating layers rely on
-    /// it). Parameterless layers never touch `d_params`.
-    pub fn backward_batch(
-        &self,
-        d_out: &Tensor,
-        cache: &BatchCache,
-        d_params: &mut [f64],
-        stride: usize,
-        offset: usize,
-    ) -> Tensor {
-        self.backward_batch_on(Backend::native(), d_out, cache, d_params, stride, offset)
-    }
-
-    /// [`Layer::backward_batch`] with the gemm-shaped work routed through a
-    /// [`Backend`] handle. On [`Backend::native`] the two are bit-identical;
-    /// other backends are tolerance-equivalent only.
-    pub fn backward_batch_on(
+    /// Batched backward delta pass: the input gradient of the whole batch
+    /// from its output gradient `d_out` (`[B, ...]`). Parameter gradients are
+    /// written separately, one example at a time, by
+    /// [`Layer::write_param_grad_on`].
+    pub(crate) fn backward_input_batch_on(
         &self,
         backend: Backend,
         d_out: &Tensor,
         cache: &BatchCache,
-        d_params: &mut [f64],
-        stride: usize,
-        offset: usize,
     ) -> Tensor {
-        let batch = *d_out.shape().first().expect("backward_batch: rank-0 d_out");
+        let batch = *d_out
+            .shape()
+            .first()
+            .expect("backward_input_batch_on: rank-0 d_out");
         match (self, cache) {
-            (Layer::Dense(d), BatchCache::Dense { input }) => {
+            (Layer::Dense(d), BatchCache::Dense { .. }) => {
                 let (m, n) = (d.out_features(), d.in_features());
                 assert_eq!(
                     d_out.shape(),
                     &[batch, m],
                     "Dense backward: d_out shape mismatch"
                 );
-                let d_in = batched::dense_backward(
+                let d_in = batched::dense_backward_input(
                     backend,
                     d_out.data(),
-                    input.data(),
                     d.weight.data(),
-                    d_params,
-                    stride,
-                    offset,
                     batch,
                     n,
                     m,
-                    true,
                 );
                 Tensor::from_vec(&[batch, n], d_in)
             }
-            (Layer::Conv2d(c), BatchCache::Conv2d { patches, dims }) => {
+            (Layer::Conv2d(c), BatchCache::Conv2d { dims, .. }) => {
                 assert_eq!(
                     d_out.len(),
                     batch * dims.out_channels * dims.patch_rows(),
                     "Conv2d backward: d_out length mismatch"
                 );
-                let d_in = batched::conv_backward(
-                    backend,
-                    d_out.data(),
-                    patches,
-                    c.kernels.data(),
-                    dims,
-                    d_params,
-                    stride,
-                    offset,
-                    batch,
-                    true,
-                );
+                let d_in =
+                    batched::conv_backward_input(d_out.data(), c.kernels.data(), dims, batch);
                 Tensor::from_vec(&[batch, dims.in_channels, dims.in_h, dims.in_w], d_in)
             }
             (
@@ -753,17 +721,11 @@ impl Layer {
                 },
             ) => {
                 let is = normalized.shape();
-                let plane = is[2] * is[3];
-                let d_in = batched::batchnorm_backward(
+                let d_in = batched::batchnorm_backward_input(
                     d_out.data(),
-                    normalized.data(),
                     b.gamma.data(),
                     inv_std,
-                    plane,
-                    d_params,
-                    stride,
-                    offset,
-                    batch,
+                    is[2] * is[3],
                 );
                 Tensor::from_vec(is, d_in)
             }
@@ -781,7 +743,40 @@ impl Layer {
                 full.extend_from_slice(shape);
                 d_out.clone().reshape(&full)
             }
-            _ => panic!("Layer::backward_batch: cache does not match layer kind"),
+            _ => panic!("Layer::backward_input_batch_on: cache does not match layer kind"),
+        }
+    }
+
+    /// Write example `ex`'s parameter gradient of this layer
+    /// ([`Layer::param_count`] values, canonical order) over `grad`, from
+    /// the batch's output gradient `d_out` and forward cache. Parameterless
+    /// layers write nothing.
+    pub(crate) fn write_param_grad_on(
+        &self,
+        backend: Backend,
+        d_out: &Tensor,
+        cache: &BatchCache,
+        ex: usize,
+        grad: &mut [f64],
+    ) {
+        let batch = d_out.shape()[0];
+        let of_example = |data| batched::example(data, batch, ex);
+        let dy = of_example(d_out.data());
+        match (self, cache) {
+            (Layer::Dense(_), BatchCache::Dense { input }) => {
+                batched::dense_backward(dy, of_example(input.data()), grad);
+            }
+            (Layer::Conv2d(_), BatchCache::Conv2d { patches, dims }) => {
+                batched::conv_backward(backend, dy, of_example(patches), dims, grad);
+            }
+            (Layer::BatchNorm2d(_), BatchCache::BatchNorm2d { normalized, .. }) => {
+                let is = normalized.shape();
+                batched::batchnorm_backward(dy, of_example(normalized.data()), is[2] * is[3], grad);
+            }
+            (Layer::Relu, BatchCache::Relu { .. })
+            | (Layer::MaxPool2d(_), BatchCache::MaxPool2d { .. })
+            | (Layer::Flatten, BatchCache::Flatten { .. }) => {}
+            _ => panic!("Layer::write_param_grad_on: cache does not match layer kind"),
         }
     }
 }

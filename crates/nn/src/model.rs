@@ -1,5 +1,7 @@
 //! Sequential models with flat parameter vectors and per-example gradients.
 
+use std::ops::Range;
+
 use dpaudit_tensor::{Backend, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -148,14 +150,8 @@ impl Sequential {
         h
     }
 
-    /// Batched forward pass retaining per-layer caches for
-    /// [`Sequential::backward_batch`].
-    pub fn forward_batch_cached(&self, xs: &Tensor) -> (Tensor, Vec<BatchCache>) {
-        self.forward_batch_cached_on(Backend::native(), xs)
-    }
-
-    /// [`Sequential::forward_batch_cached`] with the gemms routed through a
-    /// [`Backend`] handle.
+    /// Batched forward pass retaining per-layer caches for the batched
+    /// backward pass, with the gemms routed through a [`Backend`] handle.
     pub fn forward_batch_cached_on(
         &self,
         backend: Backend,
@@ -171,43 +167,83 @@ impl Sequential {
         (h, caches)
     }
 
-    /// Backpropagate per-example logit gradients (`[B, classes]`) through a
-    /// cached batched forward pass, returning the `[B, param_count]` tensor
-    /// of per-example flat parameter gradients — row `b` is exactly what
-    /// [`Sequential::per_example_grad`] would return for example `b`.
-    pub fn backward_batch(&self, caches: &[BatchCache], d_logits: Tensor) -> Tensor {
-        self.backward_batch_on(Backend::native(), caches, d_logits)
-    }
-
-    /// [`Sequential::backward_batch`] with the gemms routed through a
-    /// [`Backend`] handle.
-    pub fn backward_batch_on(
+    /// Stream the per-example losses and flat parameter gradients of a
+    /// labelled batch through `visit`, one example at a time, in example
+    /// order.
+    ///
+    /// One batched forward pass and one batched backward delta pass (the
+    /// input-gradient gemms) run for the whole batch; then each example's
+    /// `[dW | db | …]` row is written into `row` — a caller-owned,
+    /// [`Sequential::param_count`]-long buffer reused for every example —
+    /// and handed to `visit` as `(loss, row)`. `visit` may modify the row
+    /// (the DPSGD clip loop scales it in place); the next example overwrites
+    /// it. No `[B, param_count]` gradient block is ever materialised.
+    ///
+    /// Each row is bit-identical to [`Sequential::per_example_grad_scalar`]
+    /// on that example: the batched layers replicate the scalar
+    /// accumulation order exactly. Other backends than [`Backend::native`]
+    /// are tolerance-equivalent only.
+    ///
+    /// # Panics
+    /// Panics on an empty batch, a length mismatch, or a `row` that is not
+    /// [`Sequential::param_count`] long.
+    pub fn visit_example_grads_on(
         &self,
         backend: Backend,
-        caches: &[BatchCache],
-        d_logits: Tensor,
-    ) -> Tensor {
+        xs: &[Tensor],
+        labels: &[usize],
+        row: &mut [f64],
+        mut visit: impl FnMut(f64, &mut [f64]),
+    ) {
+        assert_eq!(xs.len(), labels.len(), "per_example_grads: length mismatch");
         assert_eq!(
-            caches.len(),
-            self.layers.len(),
-            "backward_batch: cache count mismatch"
+            row.len(),
+            self.param_count(),
+            "per_example_grads: row buffer must hold one gradient"
         );
-        let batch = d_logits.shape()[0];
-        let dim = self.param_count();
-        // Each layer writes its per-example gradient segment straight into
-        // the flat `[B, dim]` buffer — no per-layer staging copy.
-        let mut flat = vec![0.0; batch * dim];
-        let mut offsets = Vec::with_capacity(self.layers.len());
-        let mut off = 0;
-        for layer in &self.layers {
-            offsets.push(off);
-            off += layer.param_count();
+        let (logits, caches) = self.forward_batch_cached_on(backend, &Tensor::stack(xs));
+        let classes = logits.shape()[1];
+        let mut losses = Vec::with_capacity(xs.len());
+        let mut d_logits = Vec::with_capacity(logits.len());
+        for (row, &label) in logits.data().chunks_exact(classes).zip(labels) {
+            let (loss, d_row) = softmax_cross_entropy(row, label);
+            losses.push(loss);
+            d_logits.extend_from_slice(&d_row);
         }
-        let mut d = d_logits;
-        for ((layer, cache), offset) in self.layers.iter().zip(caches).zip(offsets).rev() {
-            d = layer.backward_batch_on(backend, &d, cache, &mut flat, dim, offset);
+        let d_logits = Tensor::from_vec(&[xs.len(), classes], d_logits);
+
+        // Delta pass: the output gradient of every parameterised layer, for
+        // the whole batch. Deltas stop at the first parameterised layer —
+        // the gradient of the input itself is never needed.
+        let mut deltas: Vec<Option<Tensor>> = vec![None; self.layers.len()];
+        if let Some(first) = self.layers.iter().position(|l| l.param_count() > 0) {
+            let mut d = d_logits;
+            for i in (first..self.layers.len()).rev() {
+                let layer = &self.layers[i];
+                let d_in =
+                    (i > first).then(|| layer.backward_input_batch_on(backend, &d, &caches[i]));
+                if layer.param_count() > 0 {
+                    deltas[i] = Some(d);
+                }
+                match d_in {
+                    Some(d_in) => d = d_in,
+                    None => break,
+                }
+            }
         }
-        Tensor::from_vec(&[batch, dim], flat)
+        let segments = param_segments(self.layers.iter().map(Layer::param_count));
+
+        for (ex, &loss) in losses.iter().enumerate() {
+            for (((layer, cache), delta), segment) in
+                self.layers.iter().zip(&caches).zip(&deltas).zip(&segments)
+            {
+                if let Some(delta) = delta {
+                    let grad = &mut row[segment.clone()];
+                    layer.write_param_grad_on(backend, delta, cache, ex, grad);
+                }
+            }
+            visit(loss, row);
+        }
     }
 
     /// Losses and per-example flat parameter gradients for a labelled batch,
@@ -225,31 +261,24 @@ impl Sequential {
     }
 
     /// [`Sequential::per_example_grads`] with the gemms routed through a
-    /// [`Backend`] handle. On [`Backend::native`] the two are bit-identical;
-    /// other backends are tolerance-equivalent only.
+    /// [`Backend`] handle: a collector over
+    /// [`Sequential::visit_example_grads_on`]. On [`Backend::native`] the two
+    /// are bit-identical; other backends are tolerance-equivalent only.
     pub fn per_example_grads_on(
         &self,
         backend: Backend,
         xs: &[Tensor],
         labels: &[usize],
     ) -> (Vec<f64>, Tensor) {
-        assert_eq!(xs.len(), labels.len(), "per_example_grads: length mismatch");
-        let batch = Tensor::stack(xs);
-        let (logits, caches) = self.forward_batch_cached_on(backend, &batch);
-        let classes = logits.shape()[1];
+        let dim = self.param_count();
         let mut losses = Vec::with_capacity(xs.len());
-        let mut d_logits = Vec::with_capacity(logits.len());
-        for (row, &label) in logits.data().chunks_exact(classes).zip(labels) {
-            let (loss, d_row) = softmax_cross_entropy(row, label);
+        let mut grads = Vec::with_capacity(xs.len() * dim);
+        let mut row = vec![0.0; dim];
+        self.visit_example_grads_on(backend, xs, labels, &mut row, |loss, row| {
             losses.push(loss);
-            d_logits.extend_from_slice(&d_row);
-        }
-        let grads = self.backward_batch_on(
-            backend,
-            &caches,
-            Tensor::from_vec(&[xs.len(), classes], d_logits),
-        );
-        (losses, grads)
+            grads.extend_from_slice(row);
+        });
+        (losses, Tensor::from_vec(&[xs.len(), dim], grads))
     }
 
     /// Loss and flat parameter gradient for a single labelled example —
@@ -391,6 +420,18 @@ impl Sequential {
             }
         }
     }
+}
+
+/// Every layer's segment of the flat parameter vector, from the layers'
+/// parameter counts in order.
+pub(crate) fn param_segments(counts: impl Iterator<Item = usize>) -> Vec<Range<usize>> {
+    counts
+        .scan(0, |off, count| {
+            let start = *off;
+            *off += count;
+            Some(start..*off)
+        })
+        .collect()
 }
 
 /// Examples stacked into one batched forward pass by the norm-stats refresh

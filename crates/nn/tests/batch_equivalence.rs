@@ -1,16 +1,19 @@
 //! Property tests: the batched pipeline is bit-identical to the scalar
 //! example-at-a-time oracle, over random shapes and batch sizes.
 //!
-//! `per_example_grads` promises that row `b` of its `[B, P]` output carries
-//! the exact bits `per_example_grad_scalar` would produce for example `b` —
-//! the invariant the DPSGD clip loop's determinism rests on. The batched
+//! The row visitor (`visit_example_grads_on`) and its `per_example_grads`
+//! collector promise that the row of example `b` carries the exact bits
+//! `per_example_grad_scalar` would produce for it — the invariant the DPSGD
+//! clip loop's determinism rests on. The batched
 //! norm-stats refresh and batched inference (`mean_loss`, `accuracy`) are
 //! pinned the same way against the scalar formulas below.
 
 use dpaudit_math::seeded_rng;
 use dpaudit_nn::{
-    mnist_cnn, softmax_cross_entropy, BatchNorm2d, Conv2d, Dense, Layer, MaxPool2d, Sequential,
+    mnist_cnn, purchase_mlp, softmax_cross_entropy, BatchNorm2d, Conv2d, Dense, Layer, MaxPool2d,
+    Sequential, SequentialF32, PURCHASE_FEATURES,
 };
+use dpaudit_tensor::Backend;
 use dpaudit_tensor::Tensor;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -191,6 +194,91 @@ fn assert_inference_matches_scalar(
 /// Batch sizes around the refresh's private 16-example chunk (1, chunk − 1,
 /// chunk, chunk + 1) and one spanning several chunks.
 const REFRESH_SIZES: [usize; 5] = [1, 15, 16, 17, 100];
+
+/// Batch sizes around the clip loop's 16-example chunk.
+const VISITOR_SIZES: [usize; 4] = [1, 15, 16, 17];
+
+/// Stream `xs` through the f64 row visitor into `row` (dirty from earlier
+/// calls) and check every visited `(loss, row)` against the scalar oracle,
+/// bit for bit and in example order.
+fn assert_visitor_matches_scalar(model: &Sequential, xs: &[Tensor], ys: &[usize], row: &mut [f64]) {
+    let mut visited = 0;
+    model.visit_example_grads_on(Backend::native(), xs, ys, row, |loss, row| {
+        let (expect_loss, expect) = model.per_example_grad_scalar(&xs[visited], ys[visited]);
+        assert_eq!(
+            loss.to_bits(),
+            expect_loss.to_bits(),
+            "loss of example {visited}"
+        );
+        for (j, (a, e)) in row.iter().zip(&expect).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                e.to_bits(),
+                "example {visited} grad[{j}]: {a} vs {e}"
+            );
+        }
+        // Scribble over the row, as the clip loop's in-place scaling does:
+        // the next example must not see any of it.
+        row.iter_mut().for_each(|v| *v = f64::NAN);
+        visited += 1;
+    });
+    assert_eq!(visited, xs.len());
+}
+
+#[test]
+fn row_visitor_matches_scalar_oracle_bitwise() {
+    let mut tiny = cnn(5);
+    tiny.update_norm_stats(&inputs(6, 8, &[1, 8, 8]));
+    let mut mnist = mnist_cnn(&mut seeded_rng(7));
+    mnist.update_norm_stats(&inputs(8, 8, &[1, 28, 28]));
+    let purchase = purchase_mlp(&mut seeded_rng(9));
+    let cases: [(&Sequential, &[usize]); 3] = [
+        (&tiny, &[1, 8, 8]),
+        (&mnist, &[1, 28, 28]),
+        (&purchase, &[PURCHASE_FEATURES]),
+    ];
+    for (model, shape) in cases {
+        let classes = match model.layers.last() {
+            Some(Layer::Dense(d)) => d.bias.len(),
+            _ => unreachable!("every reference model ends in a dense layer"),
+        };
+        // One row buffer for every call: reuse across calls is part of the
+        // contract.
+        let mut row = vec![0.0; model.param_count()];
+        for (k, examples) in VISITOR_SIZES.into_iter().enumerate() {
+            let xs = inputs(100 + k as u64, examples, shape);
+            let ys: Vec<usize> = (0..examples).map(|i| (i * 7 + k) % classes).collect();
+            assert_visitor_matches_scalar(model, &xs, &ys, &mut row);
+        }
+    }
+}
+
+#[test]
+fn f32_row_visitor_rows_match_single_example_runs_bitwise() {
+    // No scalar oracle exists at f32; the row visitor must instead be
+    // batch-independent: each streamed row equals the B = 1 run on its
+    // example, with one row buffer reused across calls.
+    let mut model = mnist_cnn(&mut seeded_rng(11));
+    model.update_norm_stats(&inputs(12, 8, &[1, 28, 28]));
+    let shadow = SequentialF32::from_model(&model);
+    let mut row = vec![0.0f32; shadow.param_count()];
+    for (k, examples) in [1, 17].into_iter().enumerate() {
+        let xs = inputs(200 + k as u64, examples, &[1, 28, 28]);
+        let ys: Vec<usize> = (0..examples).map(|i| (i + k) % 10).collect();
+        let mut visited = 0;
+        shadow.visit_example_grads_on(Backend::native(), &xs, &ys, &mut row, |loss, row| {
+            let x = std::slice::from_ref(&xs[visited]);
+            let (solo_loss, solo) = shadow.per_example_grads(x, &ys[visited..=visited]);
+            assert_eq!(loss.to_bits(), solo_loss[0].to_bits());
+            for (j, (a, e)) in row.iter().zip(&solo).enumerate() {
+                assert_eq!(a.to_bits(), e.to_bits(), "example {visited} grad[{j}]");
+            }
+            row.iter_mut().for_each(|v| *v = f32::NAN);
+            visited += 1;
+        });
+        assert_eq!(visited, examples);
+    }
+}
 
 #[test]
 fn refresh_without_batch_norm_leaves_model_untouched() {

@@ -81,12 +81,14 @@ impl AuditSession {
     }
 
     /// Create a fresh store at `path` (truncating any existing file) and
-    /// durably write the header.
+    /// durably write the header, [stamped](StoreHeader::stamped) with the
+    /// schema version of its sampling scheme.
     ///
     /// # Errors
     /// I/O errors from store creation, or a header naming a compute backend
     /// not compiled into this binary.
     pub fn create(path: &Path, header: StoreHeader) -> std::io::Result<Self> {
+        let header = header.stamped();
         check_backend(&header)?;
         let store = TrialStore::create(path, &header)?;
         Ok(AuditSession {
@@ -101,9 +103,10 @@ impl AuditSession {
     /// continue from a clean line boundary.
     ///
     /// # Errors
-    /// I/O errors, corrupt stores, schema-version mismatches, or a store
-    /// recorded with a compute backend not compiled into this binary (the
-    /// missing trials could not be executed bit-identically).
+    /// I/O errors, corrupt stores, schema-version mismatches (a legacy
+    /// Poisson store among them — its trials came from a retired trainer),
+    /// or a store recorded with a compute backend not compiled into this
+    /// binary (the missing trials could not be executed bit-identically).
     pub fn resume(path: &Path) -> std::io::Result<Self> {
         let contents = read_store(path)?;
         check_backend(&contents.header)?;
@@ -246,7 +249,7 @@ impl AuditSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{Seed, SCHEMA_VERSION};
+    use crate::store::{Seed, POISSON_SCHEMA_VERSION, SCHEMA_VERSION};
     use crate::testkit;
     use dpaudit_core::{rho_beta, RecordDetail};
 
@@ -358,6 +361,54 @@ mod tests {
                 .expect("resume must refuse a blas store");
             assert!(err.to_string().contains("backend `blas`"), "{err}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_poisson_store_is_refused_on_resume_and_report() {
+        // Poisson stores are stamped with their own schema version; one
+        // written before it (schema v1) holds records of the retired
+        // example-at-a-time trainer and must be refused with a versioned
+        // error by resume and by the offline report. Full-batch headers keep
+        // schema v1 byte for byte.
+        let dir = std::env::temp_dir().join(format!("dpaudit-poisson-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("poisson-store.jsonl");
+        let mut header = toy_header(2, RecordDetail::Summary);
+        header.settings.sampling = dpaudit_core::Sampling::Poisson { q: 0.5 };
+
+        let session = AuditSession::create(&path, header.clone()).unwrap();
+        assert_eq!(session.header().schema_version, POISSON_SCHEMA_VERSION);
+        drop(session);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(&format!("{{\"schema_version\":{POISSON_SCHEMA_VERSION},")));
+        assert!(AuditSession::resume(&path).is_ok());
+
+        // Rewind the stamp to v1: the header of a pre-versioning Poisson run.
+        let legacy = text.replacen(
+            &format!("\"schema_version\":{POISSON_SCHEMA_VERSION}"),
+            &format!("\"schema_version\":{SCHEMA_VERSION}"),
+            1,
+        );
+        std::fs::write(&path, legacy).unwrap();
+        for err in [
+            AuditSession::resume(&path)
+                .err()
+                .expect("resume must refuse"),
+            crate::report::replay_store(&path).expect_err("report must refuse"),
+        ] {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("legacy Poisson store"), "{msg}");
+            assert!(msg.contains(&format!("schema v{SCHEMA_VERSION}")), "{msg}");
+            assert!(msg.contains(&format!("v{POISSON_SCHEMA_VERSION}")), "{msg}");
+        }
+
+        // Full-batch stores keep the original version stamp.
+        let full = dir.join("full-store.jsonl");
+        drop(AuditSession::create(&full, toy_header(2, RecordDetail::Summary)).unwrap());
+        let text = std::fs::read_to_string(&full).unwrap();
+        assert!(text.starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION},")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

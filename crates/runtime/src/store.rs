@@ -25,15 +25,34 @@
 //! it described simply re-runs on resume); an unparsable line anywhere
 //! else is real corruption and an error.
 
-use dpaudit_core::experiment::{DiTrialResult, RecordDetail, TrialSettings};
+use dpaudit_core::experiment::{DiTrialResult, RecordDetail, Sampling, TrialSettings};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
 use std::path::Path;
 
-/// Version stamp written into every store header. Bump when the line format
-/// changes incompatibly; [`read_store`] refuses mismatched versions.
+/// Version stamp written into every full-batch store header. Bump when the
+/// line format changes incompatibly; [`read_store`] refuses mismatched
+/// versions.
 pub const SCHEMA_VERSION: u64 = 1;
+
+/// Version stamp of Poisson-sampled store headers. Poisson trials run on
+/// the batched clip loop — chunk-ordered sums that honour the compute mode
+/// and batch threads — since this version. A Poisson store stamped
+/// [`SCHEMA_VERSION`] holds records of the retired example-at-a-time
+/// trainer (f64 whatever its recorded compute mode), which this binary can
+/// neither resume nor reproduce, so [`read_store`] refuses it.
+pub const POISSON_SCHEMA_VERSION: u64 = 2;
+
+/// The schema version a store whose trials run under `settings` is written
+/// at: [`POISSON_SCHEMA_VERSION`] under Poisson sampling, else
+/// [`SCHEMA_VERSION`] (full-batch header bytes are unchanged).
+fn schema_version_for(settings: &TrialSettings) -> u64 {
+    match settings.sampling {
+        Sampling::FullBatch => SCHEMA_VERSION,
+        Sampling::Poisson { .. } => POISSON_SCHEMA_VERSION,
+    }
+}
 
 /// A full-width `u64` seed, serialised as a decimal string so it survives
 /// the f64-backed JSON number model losslessly.
@@ -94,6 +113,17 @@ pub struct StoreHeader {
     pub settings: TrialSettings,
 }
 
+impl StoreHeader {
+    /// This header with `schema_version` set to the version its settings
+    /// are written at: [`POISSON_SCHEMA_VERSION`] under Poisson sampling,
+    /// else [`SCHEMA_VERSION`]. Store creation applies it, so callers may
+    /// fill the field with [`SCHEMA_VERSION`] regardless of sampling.
+    pub fn stamped(mut self) -> Self {
+        self.schema_version = schema_version_for(&self.settings);
+        self
+    }
+}
+
 /// One completed trial, as stored on disk.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialRecord {
@@ -115,7 +145,8 @@ pub struct TrialStore {
 
 impl TrialStore {
     /// Create a new store at `path` (truncating any existing file) and
-    /// durably write the header.
+    /// durably write the header, [stamped](StoreHeader::stamped) with the
+    /// schema version of its sampling scheme.
     ///
     /// # Errors
     /// I/O errors from creation, write, or fsync.
@@ -124,7 +155,7 @@ impl TrialStore {
         let mut store = TrialStore {
             writer: BufWriter::new(file),
         };
-        store.append_line(&serde_json::to_value(header))?;
+        store.append_line(&serde_json::to_value(&header.clone().stamped()))?;
         Ok(store)
     }
 
@@ -194,7 +225,8 @@ impl StoreContents {
 /// Read and validate a trial store.
 ///
 /// Tolerates a truncated final line (crash mid-append); any other parse
-/// failure, a bad header, or a schema-version mismatch is an error.
+/// failure, a bad header, or a schema-version mismatch — including a legacy
+/// Poisson store (see [`POISSON_SCHEMA_VERSION`]) — is an error.
 ///
 /// # Errors
 /// I/O errors, malformed JSON other than a trailing partial line, or an
@@ -224,12 +256,22 @@ pub fn read_store(path: &Path) -> std::io::Result<StoreContents> {
 
     let header: StoreHeader = serde_json::from_str(header_line)
         .map_err(|e| bad(format!("{}: bad store header: {e}", path.display())))?;
-    if header.schema_version != SCHEMA_VERSION {
+    let expected = schema_version_for(&header.settings);
+    if header.schema_version == SCHEMA_VERSION && expected == POISSON_SCHEMA_VERSION {
         return Err(bad(format!(
-            "{}: store schema version {} (this binary reads {})",
+            "{}: legacy Poisson store (schema v{SCHEMA_VERSION}): its records come from the \
+             retired example-at-a-time trainer, which Poisson stores since schema \
+             v{POISSON_SCHEMA_VERSION} replace with the batched clip loop; this binary cannot \
+             reproduce them, so re-run the audit",
+            path.display(),
+        )));
+    }
+    if header.schema_version != expected {
+        return Err(bad(format!(
+            "{}: store schema version {} (this binary reads {expected} for {} stores)",
             path.display(),
             header.schema_version,
-            SCHEMA_VERSION
+            header.settings.sampling,
         )));
     }
 

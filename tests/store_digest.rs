@@ -1,4 +1,5 @@
-//! Cross-commit bit pin for full-batch f64 audits.
+//! Cross-commit bit pin for store-backed audits: full-batch f64, one
+//! full-batch f32 case, and one Poisson-subsampled case.
 //!
 //! Runs small store-backed audits through `AuditSession` (the library path
 //! of `dpaudit audit run`) and folds the stored records into a 64-bit
@@ -6,11 +7,13 @@
 //! earlier build of the pipeline, so any refactor that moves a single bit
 //! of a stored trial — beliefs, local sensitivities, sigmas, test accuracy
 //! — fails here, even when two binaries of the same commit agree with each
-//! other. Poisson-subsampled audits are deliberately not pinned.
+//! other. The Poisson case also runs at several clip-loop batch-thread
+//! counts, which must not move a bit either.
 //!
 //! When a change is *meant* to move bits, re-record the constants and say
 //! so in the change log.
 
+use dp_identifiability::dpsgd::ComputeMode;
 use dp_identifiability::prelude::*;
 use dpaudit_bench::{arm_settings, param_row, Workload, World};
 use dpaudit_core::RecordDetail;
@@ -28,6 +31,8 @@ struct Case {
     train_size: usize,
     reps: usize,
     steps: usize,
+    compute: ComputeMode,
+    sampling: Sampling,
 }
 
 /// World, pair and test set, small enough for a test: a reduced pool keeps
@@ -49,6 +54,8 @@ fn header(case: &Case, seed: u64) -> StoreHeader {
         ChallengeMode::RandomBit,
     );
     settings.adversary = case.adversary;
+    settings.dpsgd.compute = case.compute;
+    settings.sampling = case.sampling;
     StoreHeader {
         schema_version: SCHEMA_VERSION,
         label: format!("digest_{}", case.name),
@@ -72,16 +79,17 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Run `case` with `threads` trial workers and return the digest of its
-/// rendered report and its stored records in index order.
-fn audit_digest(case: &Case, threads: usize) -> u64 {
+/// Run `case` with `threads` trial workers and `batch_threads` clip-loop
+/// workers and return the digest of its rendered report and its stored
+/// records in index order.
+fn audit_digest(case: &Case, threads: usize, batch_threads: usize) -> u64 {
     let seed = 11;
     let world = world(case, seed);
     let pair = case.workload.max_pair(&world, case.mode);
     let header = header(case, seed);
     let dir = std::env::temp_dir().join(format!("dpaudit_store_digest_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path: PathBuf = dir.join(format!("{}_{threads}.jsonl", case.name));
+    let path: PathBuf = dir.join(format!("{}_{threads}_{batch_threads}.jsonl", case.name));
     let _ = std::fs::remove_file(&path);
     let mut session = AuditSession::create(&path, header.clone()).unwrap();
     let workload = case.workload;
@@ -92,7 +100,7 @@ fn audit_digest(case: &Case, threads: usize) -> u64 {
             |rng| workload.build_model(rng),
             Parallelism {
                 trial_threads: threads,
-                batch_threads: 1,
+                batch_threads,
             },
             |_| {},
             None,
@@ -123,6 +131,8 @@ const MNIST: Case = Case {
     train_size: 20,
     reps: 6,
     steps: 5,
+    compute: ComputeMode::F64,
+    sampling: Sampling::FullBatch,
 };
 
 const PURCHASE: Case = Case {
@@ -133,6 +143,8 @@ const PURCHASE: Case = Case {
     train_size: 30,
     reps: 6,
     steps: 5,
+    compute: ComputeMode::F64,
+    sampling: Sampling::FullBatch,
 };
 
 /// Unbounded pair + threshold-MI adversary: the adversary's reference loss
@@ -145,17 +157,46 @@ const MNIST_MI: Case = Case {
     train_size: 20,
     reps: 4,
     steps: 5,
+    compute: ComputeMode::F64,
+    sampling: Sampling::FullBatch,
+};
+
+/// The Purchase case at `--compute f32`: pins the single-precision batched
+/// gradient path, whose records are tolerance-equivalent to (not equal to)
+/// the f64 oracle but must still not move between builds.
+const PURCHASE_F32: Case = Case {
+    name: "purchase_f32",
+    compute: ComputeMode::F32,
+    ..PURCHASE
+};
+
+/// Purchase under Poisson sampling at q = 0.5 over 40 records: most steps
+/// sum two clip-loop chunks, so the batch-thread runs below exercise the
+/// ordered fold.
+const PURCHASE_POISSON: Case = Case {
+    name: "purchase_poisson",
+    train_size: 40,
+    reps: 4,
+    sampling: Sampling::Poisson { q: 0.5 },
+    ..PURCHASE
 };
 
 const MNIST_DIGEST: u64 = 0x721e_93d0_6c84_a65d;
 const PURCHASE_DIGEST: u64 = 0x639c_6e10_fd08_0cf9;
 const MNIST_MI_DIGEST: u64 = 0x327d_0f2b_5b16_e21c;
+const PURCHASE_F32_DIGEST: u64 = 0xe67d_6028_7918_94e6;
+const PURCHASE_POISSON_DIGEST: u64 = 0x4316_f46c_8cbc_743b;
 
 fn check(case: &Case, threads: usize, expected: u64) {
-    let got = audit_digest(case, threads);
+    check_batched(case, threads, 1, expected);
+}
+
+fn check_batched(case: &Case, threads: usize, batch_threads: usize, expected: u64) {
+    let got = audit_digest(case, threads, batch_threads);
     assert_eq!(
         got, expected,
-        "{} audit at {threads} trial threads: digest {got:#018x}, pinned {expected:#018x}",
+        "{} audit at {threads} trial threads, {batch_threads} batch threads: \
+         digest {got:#018x}, pinned {expected:#018x}",
         case.name
     );
 }
@@ -183,4 +224,16 @@ fn purchase_store_digest_is_pinned_at_two_threads() {
 #[test]
 fn mnist_threshold_mi_store_digest_is_pinned() {
     check(&MNIST_MI, 1, MNIST_MI_DIGEST);
+}
+
+#[test]
+fn purchase_f32_store_digest_is_pinned() {
+    check(&PURCHASE_F32, 1, PURCHASE_F32_DIGEST);
+}
+
+#[test]
+fn purchase_poisson_store_digest_is_pinned_at_any_batch_threads() {
+    for batch_threads in [1, 2, 4] {
+        check_batched(&PURCHASE_POISSON, 1, batch_threads, PURCHASE_POISSON_DIGEST);
+    }
 }
