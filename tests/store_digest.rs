@@ -1,5 +1,5 @@
-//! Cross-commit bit pin for store-backed audits: full-batch f64, one
-//! full-batch f32 case, and one Poisson-subsampled case.
+//! Cross-commit bit pin for store-backed audits: full-batch f64, two
+//! full-batch f32 cases (MLP and CNN), and one Poisson-subsampled case.
 //!
 //! Runs small store-backed audits through `AuditSession` (the library path
 //! of `dpaudit audit run`) and folds the stored records into a 64-bit
@@ -170,6 +170,14 @@ const PURCHASE_F32: Case = Case {
     ..PURCHASE
 };
 
+/// The MNIST case at `--compute f32`: pins the single-precision conv,
+/// batch-norm and pooling layers that the Purchase MLP never reaches.
+const MNIST_F32: Case = Case {
+    name: "mnist_f32",
+    compute: ComputeMode::F32,
+    ..MNIST
+};
+
 /// Purchase under Poisson sampling at q = 0.5 over 40 records: most steps
 /// sum two clip-loop chunks, so the batch-thread runs below exercise the
 /// ordered fold.
@@ -186,6 +194,7 @@ const PURCHASE_DIGEST: u64 = 0x639c_6e10_fd08_0cf9;
 const MNIST_MI_DIGEST: u64 = 0x327d_0f2b_5b16_e21c;
 const PURCHASE_F32_DIGEST: u64 = 0xe67d_6028_7918_94e6;
 const PURCHASE_POISSON_DIGEST: u64 = 0x4316_f46c_8cbc_743b;
+const MNIST_F32_DIGEST: u64 = 0x7bcb_ecf2_a0c8_20e1;
 
 fn check(case: &Case, threads: usize, expected: u64) {
     check_batched(case, threads, 1, expected);
@@ -229,6 +238,11 @@ fn mnist_threshold_mi_store_digest_is_pinned() {
 #[test]
 fn purchase_f32_store_digest_is_pinned() {
     check(&PURCHASE_F32, 1, PURCHASE_F32_DIGEST);
+}
+
+#[test]
+fn mnist_f32_store_digest_is_pinned() {
+    check(&MNIST_F32, 1, MNIST_F32_DIGEST);
 }
 
 #[test]
