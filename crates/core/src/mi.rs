@@ -10,7 +10,7 @@
 
 use dpaudit_datasets::Dataset;
 use dpaudit_nn::{softmax_cross_entropy, Sequential};
-use dpaudit_tensor::Tensor;
+use dpaudit_tensor::{Backend, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -34,9 +34,11 @@ impl MiAdversary {
         }
     }
 
-    /// The loss of the model on one labelled point.
+    /// The loss of the model on one labelled point, from a B = 1 batched
+    /// forward pass (bit-identical to the example-at-a-time one).
     pub fn loss(model: &Sequential, x: &Tensor, label: usize) -> f64 {
-        let logits = model.forward(x);
+        let logits =
+            model.forward_batch_on(Backend::native(), &Tensor::stack(std::slice::from_ref(x)));
         softmax_cross_entropy(logits.data(), label).0
     }
 
@@ -132,7 +134,7 @@ mod tests {
         for _ in 0..300 {
             let mut grad = vec![0.0; model.param_count()];
             for (x, &y) in train.xs.iter().zip(&train.ys) {
-                let (_, g) = model.per_example_grad(x, y);
+                let (_, g) = model.per_example_grad_on(Backend::native(), x, y);
                 for (a, b) in grad.iter_mut().zip(&g) {
                     *a += b / train.len() as f64;
                 }

@@ -2,7 +2,7 @@
 
 use dpaudit_math::l2_norm;
 use dpaudit_nn::Sequential;
-use dpaudit_tensor::Tensor;
+use dpaudit_tensor::{Backend, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Scale `grad` in place so its ℓ2 norm is at most `clip_norm`
@@ -33,7 +33,7 @@ pub fn clipped_gradient(
     label: usize,
     clip_norm: f64,
 ) -> (f64, Vec<f64>) {
-    let (loss, mut grad) = model.per_example_grad(x, label);
+    let (loss, mut grad) = model.per_example_grad_on(Backend::native(), x, label);
     clip_to_norm(&mut grad, clip_norm);
     (loss, grad)
 }

@@ -25,9 +25,9 @@
 //! any result — only how fast it arrives.
 
 use dpaudit_math::axpy;
-use dpaudit_nn::{Sequential, SequentialF32};
+use dpaudit_nn::Sequential;
 use dpaudit_obs as obs;
-use dpaudit_tensor::{Backend, Tensor};
+use dpaudit_tensor::{Backend, Elem, Tensor};
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -124,7 +124,8 @@ impl ClipLoopOutput {
 ///
 /// [`ComputeMode::F64`] is the bit-reproducible oracle.
 /// [`ComputeMode::F32`] narrows the model once per call
-/// ([`SequentialF32::from_model`]), computes each row in single precision,
+/// ([`Sequential::cast`]), computes each row in single precision on the same
+/// batched layers,
 /// and widens each f32 value to f64 on the fly as it flows into the norm
 /// and the chunk-ordered sum — so the norm, the clip scale, and the sum all
 /// accumulate in double precision over f32-valued inputs. The norm uses a
@@ -151,66 +152,41 @@ pub fn clip_loop_mode(
     backend: Backend,
 ) -> ClipLoopOutput {
     assert_eq!(xs.len(), ys.len(), "clip_loop_mode: length mismatch");
-    let dim = model.param_count();
     let bound = clipping.total_bound();
     match compute {
-        ComputeMode::F64 => stream_clip(
-            xs.len(),
-            dim,
-            bound,
-            pool,
-            |(start, end), row, visit| {
-                model.visit_example_grads_on(backend, &xs[start..end], &ys[start..end], row, visit)
-            },
-            |row: &mut [f64], sum| {
-                let pre_norm = clipping.clip(row, layout);
-                axpy(1.0, row, sum);
-                pre_norm
-            },
-        ),
+        ComputeMode::F64 => stream_clip(model, backend, xs, ys, bound, pool, |row, sum| {
+            let pre_norm = clipping.clip(row, layout);
+            axpy(1.0, row, sum);
+            pre_norm
+        }),
         ComputeMode::F32 => {
-            let shadow = SequentialF32::from_model(model);
-            stream_clip(
-                xs.len(),
-                dim,
-                bound,
-                pool,
-                |(start, end), row, visit| {
-                    shadow.visit_example_grads_on(
-                        backend,
-                        &xs[start..end],
-                        &ys[start..end],
-                        row,
-                        visit,
-                    )
-                },
-                |row: &mut [f32], sum| clip_add_widened(clipping, row, layout, sum),
-            )
+            let narrowed = model.cast::<f32>();
+            stream_clip(&narrowed, backend, xs, ys, bound, pool, |row, sum| {
+                clip_add_widened(clipping, row, layout, sum)
+            })
         }
     }
 }
 
-/// The precision-generic body of [`clip_loop_mode`]. `rows` streams the
-/// per-example `(loss, row)` pairs of one chunk range through the given
-/// visitor, reusing the row buffer; `clip_add` clips one row into the
-/// chunk's partial sum and returns its pre-clip norm.
-fn stream_clip<T, R, A>(
-    n: usize,
-    dim: usize,
+/// The precision-generic body of [`clip_loop_mode`]: streams each chunk's
+/// per-example `(loss, row)` pairs out of `model`'s row visitor, reusing
+/// the row buffer; `clip_add` clips one row into the chunk's partial sum
+/// and returns its pre-clip norm.
+fn stream_clip<E: Elem>(
+    model: &Sequential<E>,
+    backend: Backend,
+    xs: &[Tensor],
+    ys: &[usize],
     bound: f64,
     pool: Option<&ThreadPool>,
-    rows: R,
-    clip_add: A,
-) -> ClipLoopOutput
-where
-    T: Copy + Default + Send,
-    R: Fn((usize, usize), &mut [T], &mut dyn FnMut(f64, &mut [T])) + Sync,
-    A: Fn(&mut [T], &mut [f64]) -> f64 + Sync,
-{
-    let run_chunk = |range: (usize, usize), row: &mut [T], partial: &mut ClipLoopOutput| {
+    clip_add: impl Fn(&mut [E], &mut [f64]) -> f64 + Sync,
+) -> ClipLoopOutput {
+    let dim = model.param_count();
+    let run_chunk = |(start, end): (usize, usize), row: &mut [E], partial: &mut ClipLoopOutput| {
         let _chunk_span = obs::span(obs::names::CLIP_CHUNK_SPAN);
         let mut losses = Vec::with_capacity(CLIP_CHUNK);
-        rows(range, row, &mut |loss, row| {
+        let (xs, ys) = (&xs[start..end], &ys[start..end]);
+        model.visit_example_grads_on(backend, xs, ys, row, |loss, row| {
             losses.push(loss);
             if clip_add(row, &mut partial.clean_sum) <= bound {
                 partial.unclipped += 1;
@@ -218,7 +194,7 @@ where
         });
         partial.loss_total = losses.iter().sum();
     };
-    let ranges = chunk_ranges(n);
+    let ranges = chunk_ranges(xs.len());
     let mut out = ClipLoopOutput::zero(dim);
     match pool {
         Some(pool) if ranges.len() > 1 => {
@@ -226,7 +202,7 @@ where
                 ranges
                     .into_par_iter()
                     .map(|range| {
-                        let mut row = vec![T::default(); dim];
+                        let mut row = vec![E::ZERO; dim];
                         let mut partial = ClipLoopOutput::zero(dim);
                         run_chunk(range, &mut row, &mut partial);
                         partial
@@ -238,7 +214,7 @@ where
             }
         }
         _ => {
-            let mut row = vec![T::default(); dim];
+            let mut row = vec![E::ZERO; dim];
             let mut partial = ClipLoopOutput::zero(dim);
             for range in ranges {
                 partial.clean_sum.fill(0.0);

@@ -1,14 +1,13 @@
-//! Element-generic batched layer kernels, shared by the f64 pipeline
-//! ([`crate::layers::Layer::forward_batch`]) and the f32 storage mode
-//! ([`crate::batch32::SequentialF32`]).
+//! Element-generic batched layer kernels behind the batched passes of
+//! [`crate::layers::Layer`] (`forward_batch_on`, the delta pass and the
+//! per-example row writes), at whichever precision the model holds.
 //!
 //! Each helper is written once against [`Elem`] and a [`Backend`] handle:
 //! the two precisions and every compute backend flow through the same code
 //! path, so the accumulation order per element type is defined in exactly
-//! one place. On [`Backend::native`] these are bit-identical to the
-//! pre-refactor per-precision bodies they replaced — the gemm entry points
-//! the backend dispatches to are the very same dispatched kernels, and the
-//! non-gemm arithmetic is untouched.
+//! one place. On [`Backend::native`] the gemms are the dispatched kernels
+//! of [`dpaudit_tensor::ops`], so the f64 passes reproduce the scalar
+//! oracle's accumulation order bit for bit.
 //!
 //! All helpers work on flat row-major `[B, ...]` slices; shape validation
 //! stays with the callers (which own the layer structs and batch shapes).

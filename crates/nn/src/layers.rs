@@ -1,13 +1,17 @@
 //! Network layers with exact forward/backward passes.
 //!
-//! Each layer exposes `forward` (producing an output and a [`Cache`] of the
-//! intermediates the backward pass needs) and `backward` (consuming the cache
-//! and the upstream gradient, producing the input gradient and the flat
-//! parameter gradient in the layer's canonical parameter order).
+//! Layers are generic over their parameter precision `E` ([`Elem`],
+//! `f64` by default). The batched passes serve both precisions:
+//! [`Layer::forward_batch_on`] (an output and a [`BatchCache`]), the
+//! whole-batch delta pass and the per-example parameter-gradient writes.
+//! The example-at-a-time f64 path — `forward` (an output and a [`Cache`])
+//! and `backward` (the input gradient and the flat parameter gradient in
+//! the layer's canonical parameter order) — is the oracle the batched
+//! passes are tested against.
 
 use dpaudit_tensor::{
     conv2d_backward, conv2d_forward, matvec, matvec_transposed, maxpool2d_backward,
-    maxpool2d_forward, outer_product, Backend, Conv2dDims, PoolDims, Tensor,
+    maxpool2d_forward, outer_product, Backend, Conv2dDims, Elem, PoolDims, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -57,29 +61,29 @@ pub enum Cache {
 }
 
 /// Per-layer forward intermediates for a whole batch — the batched
-/// counterpart of [`Cache`]. All buffers are the per-example caches
-/// concatenated in example order.
+/// counterpart of [`Cache`], at the layer's precision `E`. All buffers are
+/// the per-example caches concatenated in example order.
 #[derive(Debug, Clone)]
-pub enum BatchCache {
+pub enum BatchCache<E = f64> {
     /// Dense layer cache.
     Dense {
         /// The layer's `[B, in_features]` input.
-        input: Tensor,
+        input: Tensor<E>,
     },
     /// Convolution cache: the [`dpaudit_tensor::im2col_into`] patch
     /// matrices of every example.
     Conv2d {
         /// `B` concatenated `[patch_rows, patch_cols]` matrices.
-        patches: Vec<f64>,
+        patches: Vec<E>,
         /// The spatial dimensions resolved at forward time (per example).
         dims: Conv2dDims,
     },
     /// Batch-norm cache.
     BatchNorm2d {
         /// The normalised (pre-scale) activations x̂, shape `[B, C, H, W]`.
-        normalized: Tensor,
-        /// Per-channel `1/√(var + eps)`.
-        inv_std: Vec<f64>,
+        normalized: Tensor<E>,
+        /// Per-channel `1/√(var + eps)`, computed in f64 and converted once.
+        inv_std: Vec<E>,
     },
     /// ReLU cache.
     Relu {
@@ -102,11 +106,11 @@ pub enum BatchCache {
 
 /// Fully connected layer `y = W·x + b` with `W: [out, in]`, `b: [out]`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Dense {
+pub struct Dense<E = f64> {
     /// Row-major weight matrix, shape `[out_features, in_features]`.
-    pub weight: Tensor,
+    pub weight: Tensor<E>,
     /// Bias vector, shape `[out_features]`.
-    pub bias: Tensor,
+    pub bias: Tensor<E>,
 }
 
 impl Dense {
@@ -120,7 +124,9 @@ impl Dense {
             bias: Tensor::zeros(&[out_features]),
         }
     }
+}
 
+impl<E: Elem> Dense<E> {
     fn in_features(&self) -> usize {
         self.weight.shape()[1]
     }
@@ -132,11 +138,11 @@ impl Dense {
 
 /// 2-D convolution layer (valid padding, stride 1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Conv2d {
+pub struct Conv2d<E = f64> {
     /// Kernels, shape `[out_channels, in_channels, k_h, k_w]`.
-    pub kernels: Tensor,
+    pub kernels: Tensor<E>,
     /// Per-output-channel bias, shape `[out_channels]`.
-    pub bias: Tensor,
+    pub bias: Tensor<E>,
 }
 
 impl Conv2d {
@@ -158,11 +164,9 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
         }
     }
+}
 
-    fn dims_for(&self, input: &Tensor) -> Conv2dDims {
-        self.dims_for_shape(input.shape())
-    }
-
+impl<E: Elem> Conv2d<E> {
     /// Resolve spatial dimensions from a `[C, H, W]` example shape.
     fn dims_for_shape(&self, is: &[usize]) -> Conv2dDims {
         let ks = self.kernels.shape();
@@ -186,6 +190,10 @@ impl Conv2d {
 /// Frozen-statistics batch normalisation over the channel dimension of a
 /// `[C, H, W]` volume.
 ///
+/// `gamma` and `beta` are held at the layer's precision `E`; the running
+/// statistics stay f64 state, and each forward pass converts the mean and
+/// `1/√(var + eps)` (computed in f64) to `E` once.
+///
 /// Normalisation uses `running_mean` / `running_var`, which are *state*, not
 /// parameters: they are refreshed from clean batches by
 /// [`crate::Sequential::update_norm_stats`] and treated as constants by the
@@ -196,11 +204,11 @@ impl Conv2d {
 /// with [`BatchNorm2d::update_stats`]; the sums run in the same order as an
 /// example-at-a-time pass, so the running statistics carry the same bits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchNorm2d {
+pub struct BatchNorm2d<E = f64> {
     /// Learnable per-channel scale.
-    pub gamma: Tensor,
+    pub gamma: Tensor<E>,
     /// Learnable per-channel shift.
-    pub beta: Tensor,
+    pub beta: Tensor<E>,
     /// Running per-channel mean (state).
     pub running_mean: Vec<f64>,
     /// Running per-channel variance (state).
@@ -223,9 +231,18 @@ impl BatchNorm2d {
             eps: 1e-5,
         }
     }
+}
 
+impl<E: Elem> BatchNorm2d<E> {
     fn channels(&self) -> usize {
         self.gamma.len()
+    }
+
+    /// Per-channel `1/√(var + eps)` of the running variance, in f64.
+    fn inv_std(&self) -> impl Iterator<Item = f64> + '_ {
+        self.running_var
+            .iter()
+            .map(|&v| 1.0 / (v + self.eps).sqrt())
     }
 
     /// Fold a batch's per-channel mean/variance into the running statistics.
@@ -253,10 +270,6 @@ pub struct MaxPool2d {
 }
 
 impl MaxPool2d {
-    fn dims_for(&self, input: &Tensor) -> PoolDims {
-        self.dims_for_shape(input.shape())
-    }
-
     /// Resolve pooling dimensions from a `[C, H, W]` example shape.
     fn dims_for_shape(&self, is: &[usize]) -> PoolDims {
         assert_eq!(
@@ -274,16 +287,17 @@ impl MaxPool2d {
     }
 }
 
-/// A network layer. Enum dispatch keeps the hot per-example-gradient loop
-/// free of virtual calls and lets caches be plain data.
+/// A network layer at parameter precision `E`. Enum dispatch keeps the hot
+/// per-example-gradient loop free of virtual calls and lets caches be plain
+/// data.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Layer {
+pub enum Layer<E = f64> {
     /// Fully connected.
-    Dense(Dense),
+    Dense(Dense<E>),
     /// 2-D convolution.
-    Conv2d(Conv2d),
+    Conv2d(Conv2d<E>),
     /// Frozen-stats batch normalisation.
-    BatchNorm2d(BatchNorm2d),
+    BatchNorm2d(BatchNorm2d<E>),
     /// Rectified linear unit.
     Relu,
     /// Max pooling.
@@ -293,16 +307,6 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Number of learnable parameters.
-    pub fn param_count(&self) -> usize {
-        match self {
-            Layer::Dense(d) => d.weight.len() + d.bias.len(),
-            Layer::Conv2d(c) => c.kernels.len() + c.bias.len(),
-            Layer::BatchNorm2d(b) => b.gamma.len() + b.beta.len(),
-            Layer::Relu | Layer::MaxPool2d(_) | Layer::Flatten => 0,
-        }
-    }
-
     /// Append this layer's parameters to `out` in canonical order.
     pub fn append_params(&self, out: &mut Vec<f64>) {
         match self {
@@ -415,7 +419,7 @@ impl Layer {
                 )
             }
             Layer::Conv2d(c) => {
-                let dims = c.dims_for(input);
+                let dims = c.dims_for_shape(input.shape());
                 let out = conv2d_forward(input.data(), c.kernels.data(), c.bias.data(), &dims);
                 (
                     Tensor::from_vec(&[dims.out_channels, dims.out_h(), dims.out_w()], out),
@@ -430,11 +434,7 @@ impl Layer {
                 assert_eq!(is.len(), 3, "BatchNorm2d expects [C, H, W], got {is:?}");
                 assert_eq!(is[0], b.channels(), "BatchNorm2d: channel mismatch");
                 let plane = is[1] * is[2];
-                let inv_std: Vec<f64> = b
-                    .running_var
-                    .iter()
-                    .map(|&v| 1.0 / (v + b.eps).sqrt())
-                    .collect();
+                let inv_std: Vec<f64> = b.inv_std().collect();
                 let mut normalized = vec![0.0; input.len()];
                 let mut out = vec![0.0; input.len()];
                 // The channel index addresses several parallel per-channel
@@ -466,7 +466,7 @@ impl Layer {
                 (out, Cache::Relu { mask })
             }
             Layer::MaxPool2d(p) => {
-                let dims = p.dims_for(input);
+                let dims = p.dims_for_shape(input.shape());
                 let (out, argmax) = maxpool2d_forward(input.data(), &dims);
                 (
                     Tensor::from_vec(&[dims.channels, dims.out_h(), dims.out_w()], out),
@@ -555,24 +555,61 @@ impl Layer {
             _ => panic!("Layer::backward: cache does not match layer kind"),
         }
     }
+}
 
-    /// Forward pass on a `[B, ...]` batch tensor, producing a `[B, ...]`
-    /// output and the cache for the batched backward pass.
-    ///
-    /// Each example's arithmetic follows the exact accumulation order of the
-    /// single-example [`Layer::forward`], so batched outputs are bit-identical
-    /// to stacking `B` scalar passes. Dense and convolution layers run one
-    /// gemm-shaped call per batch/example instead of `B` matvecs.
-    pub fn forward_batch(&self, input: &Tensor) -> (Tensor, BatchCache) {
-        self.forward_batch_on(Backend::native(), input)
+impl<E: Elem> Layer<E> {
+    /// Number of learnable parameters.
+    pub fn param_count(&self) -> usize {
+        match self {
+            Layer::Dense(d) => d.weight.len() + d.bias.len(),
+            Layer::Conv2d(c) => c.kernels.len() + c.bias.len(),
+            Layer::BatchNorm2d(b) => b.gamma.len() + b.beta.len(),
+            Layer::Relu | Layer::MaxPool2d(_) | Layer::Flatten => 0,
+        }
     }
 
-    /// [`Layer::forward_batch`] with the gemm-shaped work routed through a
-    /// [`Backend`] handle. On [`Backend::native`] the two are bit-identical;
-    /// other backends are tolerance-equivalent only.
-    pub fn forward_batch_on(&self, backend: Backend, input: &Tensor) -> (Tensor, BatchCache) {
+    /// The same layer with its parameters converted to precision `F`
+    /// ([`Tensor::cast`]); batch-norm running statistics stay f64 state.
+    pub fn cast<F: Elem>(&self) -> Layer<F> {
+        match self {
+            Layer::Dense(d) => Layer::Dense(Dense {
+                weight: d.weight.cast(),
+                bias: d.bias.cast(),
+            }),
+            Layer::Conv2d(c) => Layer::Conv2d(Conv2d {
+                kernels: c.kernels.cast(),
+                bias: c.bias.cast(),
+            }),
+            Layer::BatchNorm2d(b) => Layer::BatchNorm2d(BatchNorm2d {
+                gamma: b.gamma.cast(),
+                beta: b.beta.cast(),
+                running_mean: b.running_mean.clone(),
+                running_var: b.running_var.clone(),
+                momentum: b.momentum,
+                eps: b.eps,
+            }),
+            Layer::Relu => Layer::Relu,
+            Layer::MaxPool2d(p) => Layer::MaxPool2d(*p),
+            Layer::Flatten => Layer::Flatten,
+        }
+    }
+
+    /// Forward pass on a `[B, ...]` batch tensor, producing a `[B, ...]`
+    /// output and the cache for the batched backward pass, with the
+    /// gemm-shaped work routed through a [`Backend`] handle.
+    ///
+    /// At f64 on [`Backend::native`], each example's arithmetic follows the
+    /// exact accumulation order of the single-example [`Layer::forward`], so
+    /// batched outputs are bit-identical to stacking `B` scalar passes; other
+    /// backends are tolerance-equivalent only. Dense and convolution layers
+    /// run one gemm-shaped call per batch/example instead of `B` matvecs.
+    pub fn forward_batch_on(
+        &self,
+        backend: Backend,
+        input: &Tensor<E>,
+    ) -> (Tensor<E>, BatchCache<E>) {
         let is = input.shape();
-        let batch = *is.first().expect("forward_batch: rank-0 input");
+        let batch = *is.first().expect("forward_batch_on: rank-0 input");
         match self {
             Layer::Dense(d) => {
                 let (m, n) = (d.out_features(), d.in_features());
@@ -621,16 +658,13 @@ impl Layer {
                 assert_eq!(is.len(), 4, "BatchNorm2d expects [B, C, H, W], got {is:?}");
                 assert_eq!(is[1], b.channels(), "BatchNorm2d: channel mismatch");
                 let plane = is[2] * is[3];
-                let inv_std: Vec<f64> = b
-                    .running_var
-                    .iter()
-                    .map(|&v| 1.0 / (v + b.eps).sqrt())
-                    .collect();
+                let mean: Vec<E> = b.running_mean.iter().map(|&m| E::from_f64(m)).collect();
+                let inv_std: Vec<E> = b.inv_std().map(E::from_f64).collect();
                 let (out, normalized) = batched::batchnorm_forward(
                     input.data(),
                     b.gamma.data(),
                     b.beta.data(),
-                    &b.running_mean,
+                    &mean,
                     &inv_std,
                     plane,
                     batch,
@@ -678,9 +712,9 @@ impl Layer {
     pub(crate) fn backward_input_batch_on(
         &self,
         backend: Backend,
-        d_out: &Tensor,
-        cache: &BatchCache,
-    ) -> Tensor {
+        d_out: &Tensor<E>,
+        cache: &BatchCache<E>,
+    ) -> Tensor<E> {
         let batch = *d_out
             .shape()
             .first()
@@ -754,10 +788,10 @@ impl Layer {
     pub(crate) fn write_param_grad_on(
         &self,
         backend: Backend,
-        d_out: &Tensor,
-        cache: &BatchCache,
+        d_out: &Tensor<E>,
+        cache: &BatchCache<E>,
         ex: usize,
-        grad: &mut [f64],
+        grad: &mut [E],
     ) {
         let batch = d_out.shape()[0];
         let of_example = |data| batched::example(data, batch, ex);

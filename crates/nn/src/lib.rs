@@ -18,19 +18,22 @@
 //! Batch-first: per-example gradients, the norm-stats refresh and
 //! inference ([`Sequential::accuracy`], [`Sequential::mean_loss`]) run on
 //! the batched layers ([`Layer::forward_batch_on`]), which reproduce the
-//! example-at-a-time arithmetic bit for bit. Per-example gradients come
-//! from one row visitor per precision ([`Sequential::visit_example_grads_on`],
-//! [`SequentialF32::visit_example_grads_on`]): a batched forward and delta
-//! pass, then one example's flat gradient row at a time, written into a
-//! single reused buffer and handed to a callback — the DPSGD clip loop
-//! clips and sums each row as it arrives, and the `[B, P]` collectors
-//! ([`Sequential::per_example_grads`]) are thin wrappers over it. The
-//! refresh works over fixed-size chunks of stacked examples, skips models
-//! without batch norm and stops at the last batch-norm layer. The scalar
-//! path ([`Layer::forward`], [`Sequential::per_example_grad_scalar`]) is
-//! kept as the property-test oracle.
+//! example-at-a-time arithmetic bit for bit. The model is generic over its
+//! parameter precision ([`dpaudit_tensor::Elem`], `f64` by default): the
+//! f32 storage mode is the same [`Sequential`] with its parameters narrowed
+//! once ([`Sequential::cast`]), running the same batched layers. Per-example
+//! gradients come from one row visitor
+//! ([`Sequential::visit_example_grads_on`]) serving both precisions: a
+//! batched forward and delta pass, then one example's flat gradient row at
+//! a time, written into a single reused buffer and handed to a callback —
+//! the DPSGD clip loop clips and sums each row as it arrives, and the
+//! `[B, P]` collector ([`Sequential::per_example_grads_on`]) is a thin
+//! wrapper over it. The refresh works over fixed-size chunks of stacked
+//! examples, skips models without batch norm and stops at the last
+//! batch-norm layer. The f64 scalar path ([`Layer::forward`],
+//! [`Sequential::per_example_grad_scalar`]) is kept as the property-test
+//! oracle.
 
-pub mod batch32;
 pub(crate) mod batched;
 pub mod init;
 pub mod layers;
@@ -38,7 +41,6 @@ pub mod loss;
 pub mod model;
 pub mod zoo;
 
-pub use batch32::SequentialF32;
 pub use init::glorot_uniform;
 pub use layers::{BatchCache, BatchNorm2d, Cache, Conv2d, Dense, Layer, MaxPool2d};
 pub use loss::{cross_entropy_loss, softmax, softmax_cross_entropy};

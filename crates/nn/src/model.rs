@@ -2,27 +2,30 @@
 
 use std::ops::Range;
 
-use dpaudit_tensor::{Backend, Tensor};
+use dpaudit_tensor::{Backend, Elem, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::layers::{BatchCache, Cache, Layer};
 use crate::loss::softmax_cross_entropy;
 
-/// A feed-forward stack of [`Layer`]s.
+/// A feed-forward stack of [`Layer`]s at parameter precision `E` (`f64`
+/// unless named).
 ///
 /// Parameters are exposed as one flat `Vec<f64>` in layer order (each layer's
 /// canonical internal order), which is the representation DPSGD clips and
 /// perturbs and the DI adversary reasons about: the mechanism output is a
-/// vector in R^d with d = [`Sequential::param_count`].
+/// vector in R^d with d = [`Sequential::param_count`]. The f32 storage mode
+/// runs the same model with its parameters narrowed once
+/// ([`Sequential::cast`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sequential {
+pub struct Sequential<E = f64> {
     /// The layers, applied in order.
-    pub layers: Vec<Layer>,
+    pub layers: Vec<Layer<E>>,
 }
 
-impl Sequential {
+impl<E: Elem> Sequential<E> {
     /// Build from a layer list.
-    pub fn new(layers: Vec<Layer>) -> Self {
+    pub fn new(layers: Vec<Layer<E>>) -> Self {
         Self { layers }
     }
 
@@ -42,6 +45,167 @@ impl Sequential {
             .collect()
     }
 
+    /// The same model at precision `F`, every parameter converted once
+    /// ([`Layer::cast`]). `cast::<f32>()` is the model of the f32 storage
+    /// mode: its gradient rows are tolerance-equivalent to the f64 oracle's,
+    /// not bit-identical.
+    pub fn cast<F: Elem>(&self) -> Sequential<F> {
+        Sequential {
+            layers: self.layers.iter().map(Layer::cast).collect(),
+        }
+    }
+
+    /// Plain batched forward pass (no caches) over a `[B, ...]` batch
+    /// tensor, producing `[B, classes]` logits, with the gemms routed
+    /// through a [`Backend`] handle.
+    pub fn forward_batch_on(&self, backend: Backend, xs: &Tensor<E>) -> Tensor<E> {
+        let mut h = xs.clone();
+        for layer in &self.layers {
+            let (out, _) = layer.forward_batch_on(backend, &h);
+            h = out;
+        }
+        h
+    }
+
+    /// Batched forward pass retaining per-layer caches for the batched
+    /// backward pass.
+    fn forward_batch_cached_on(
+        &self,
+        backend: Backend,
+        xs: &Tensor<E>,
+    ) -> (Tensor<E>, Vec<BatchCache<E>>) {
+        let mut caches = Vec::with_capacity(self.layers.len());
+        let mut h = xs.clone();
+        for layer in &self.layers {
+            let (out, cache) = layer.forward_batch_on(backend, &h);
+            caches.push(cache);
+            h = out;
+        }
+        (h, caches)
+    }
+
+    /// Stream the per-example losses and flat parameter gradients of a
+    /// labelled batch through `visit`, one example at a time, in example
+    /// order — at the model's precision `E`.
+    ///
+    /// The f64 inputs are stacked and converted to `E`; one batched forward
+    /// pass and one batched backward delta pass (the input-gradient gemms)
+    /// run for the whole batch; then each example's `[dW | db | …]` row is
+    /// written into `row` — a caller-owned, [`Sequential::param_count`]-long
+    /// buffer reused for every example — and handed to `visit` as
+    /// `(loss, row)`. `visit` may modify the row (the DPSGD clip loop scales
+    /// it in place); the next example overwrites it. No `[B, param_count]`
+    /// gradient block is ever materialised. The loss head runs in f64: each
+    /// logit row is widened ([`Elem::to_f64`]) into the softmax
+    /// cross-entropy, and its gradient converted back to `E`.
+    ///
+    /// At f64 each row is bit-identical to
+    /// [`Sequential::per_example_grad_scalar`] on that example: the batched
+    /// layers replicate the scalar accumulation order exactly. At any
+    /// precision each row is independent of its batch-mates. Other backends
+    /// than [`Backend::native`] are tolerance-equivalent only.
+    ///
+    /// # Panics
+    /// Panics on an empty batch, a length mismatch, or a `row` that is not
+    /// [`Sequential::param_count`] long.
+    pub fn visit_example_grads_on(
+        &self,
+        backend: Backend,
+        xs: &[Tensor],
+        labels: &[usize],
+        row: &mut [E],
+        mut visit: impl FnMut(f64, &mut [E]),
+    ) {
+        assert!(!xs.is_empty(), "visit_example_grads_on: empty batch");
+        assert_eq!(
+            xs.len(),
+            labels.len(),
+            "visit_example_grads_on: length mismatch"
+        );
+        assert_eq!(
+            row.len(),
+            self.param_count(),
+            "visit_example_grads_on: row buffer must hold one gradient"
+        );
+        let (logits, caches) = self.forward_batch_cached_on(backend, &Tensor::stack(xs).cast());
+        let classes = logits.shape()[1];
+        let mut losses = Vec::with_capacity(xs.len());
+        let mut d_logits = Vec::with_capacity(logits.len());
+        let mut wide = vec![0.0; classes];
+        for (logit_row, &label) in logits.data().chunks_exact(classes).zip(labels) {
+            for (w, &v) in wide.iter_mut().zip(logit_row) {
+                *w = v.to_f64();
+            }
+            let (loss, d_row) = softmax_cross_entropy(&wide, label);
+            losses.push(loss);
+            d_logits.extend(d_row.into_iter().map(E::from_f64));
+        }
+        let d_logits = Tensor::from_vec(&[xs.len(), classes], d_logits);
+
+        // Delta pass: the output gradient of every parameterised layer, for
+        // the whole batch. Deltas stop at the first parameterised layer —
+        // the gradient of the input itself is never needed.
+        let mut deltas: Vec<Option<Tensor<E>>> = vec![None; self.layers.len()];
+        if let Some(first) = self.layers.iter().position(|l| l.param_count() > 0) {
+            let mut d = d_logits;
+            for i in (first..self.layers.len()).rev() {
+                let layer = &self.layers[i];
+                let d_in =
+                    (i > first).then(|| layer.backward_input_batch_on(backend, &d, &caches[i]));
+                if layer.param_count() > 0 {
+                    deltas[i] = Some(d);
+                }
+                match d_in {
+                    Some(d_in) => d = d_in,
+                    None => break,
+                }
+            }
+        }
+        let segments = param_segments(self.layers.iter().map(Layer::param_count));
+
+        for (ex, &loss) in losses.iter().enumerate() {
+            for (((layer, cache), delta), segment) in
+                self.layers.iter().zip(&caches).zip(&deltas).zip(&segments)
+            {
+                if let Some(delta) = delta {
+                    let grad = &mut row[segment.clone()];
+                    layer.write_param_grad_on(backend, delta, cache, ex, grad);
+                }
+            }
+            visit(loss, row);
+        }
+    }
+
+    /// Losses and per-example flat parameter gradients for a labelled batch:
+    /// a collector over [`Sequential::visit_example_grads_on`], returning the
+    /// per-example losses and a `[B, param_count]` gradient tensor.
+    pub fn per_example_grads_on(
+        &self,
+        backend: Backend,
+        xs: &[Tensor],
+        labels: &[usize],
+    ) -> (Vec<f64>, Tensor<E>) {
+        let dim = self.param_count();
+        let mut losses = Vec::with_capacity(xs.len());
+        let mut grads = Vec::with_capacity(xs.len() * dim);
+        let mut row = vec![E::ZERO; dim];
+        self.visit_example_grads_on(backend, xs, labels, &mut row, |loss, row| {
+            losses.push(loss);
+            grads.extend_from_slice(row);
+        });
+        (losses, Tensor::from_vec(&[xs.len(), dim], grads))
+    }
+
+    /// Loss and flat parameter gradient for a single labelled example —
+    /// the per-example gradient DPSGD clips — as the B = 1 case of
+    /// [`Sequential::per_example_grads_on`].
+    pub fn per_example_grad_on(&self, backend: Backend, x: &Tensor, label: usize) -> (f64, Vec<E>) {
+        let (losses, grads) = self.per_example_grads_on(backend, std::slice::from_ref(x), &[label]);
+        (losses[0], grads.into_vec())
+    }
+}
+
+impl Sequential {
     /// Snapshot all parameters as a flat vector.
     pub fn params(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.param_count());
@@ -87,7 +251,8 @@ impl Sequential {
         }
     }
 
-    /// Plain forward pass (no caches), producing logits.
+    /// Plain example-at-a-time forward pass (no caches), producing logits —
+    /// the scalar oracle of [`Sequential::forward_batch_on`].
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let mut h = x.clone();
         for layer in &self.layers {
@@ -131,174 +296,6 @@ impl Sequential {
             flat.extend(g);
         }
         flat
-    }
-
-    /// Plain batched forward pass (no caches) over a `[B, ...]` batch
-    /// tensor, producing `[B, classes]` logits.
-    pub fn forward_batch(&self, xs: &Tensor) -> Tensor {
-        self.forward_batch_on(Backend::native(), xs)
-    }
-
-    /// [`Sequential::forward_batch`] with the gemms routed through a
-    /// [`Backend`] handle.
-    pub fn forward_batch_on(&self, backend: Backend, xs: &Tensor) -> Tensor {
-        let mut h = xs.clone();
-        for layer in &self.layers {
-            let (out, _) = layer.forward_batch_on(backend, &h);
-            h = out;
-        }
-        h
-    }
-
-    /// Batched forward pass retaining per-layer caches for the batched
-    /// backward pass, with the gemms routed through a [`Backend`] handle.
-    pub fn forward_batch_cached_on(
-        &self,
-        backend: Backend,
-        xs: &Tensor,
-    ) -> (Tensor, Vec<BatchCache>) {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut h = xs.clone();
-        for layer in &self.layers {
-            let (out, cache) = layer.forward_batch_on(backend, &h);
-            caches.push(cache);
-            h = out;
-        }
-        (h, caches)
-    }
-
-    /// Stream the per-example losses and flat parameter gradients of a
-    /// labelled batch through `visit`, one example at a time, in example
-    /// order.
-    ///
-    /// One batched forward pass and one batched backward delta pass (the
-    /// input-gradient gemms) run for the whole batch; then each example's
-    /// `[dW | db | …]` row is written into `row` — a caller-owned,
-    /// [`Sequential::param_count`]-long buffer reused for every example —
-    /// and handed to `visit` as `(loss, row)`. `visit` may modify the row
-    /// (the DPSGD clip loop scales it in place); the next example overwrites
-    /// it. No `[B, param_count]` gradient block is ever materialised.
-    ///
-    /// Each row is bit-identical to [`Sequential::per_example_grad_scalar`]
-    /// on that example: the batched layers replicate the scalar
-    /// accumulation order exactly. Other backends than [`Backend::native`]
-    /// are tolerance-equivalent only.
-    ///
-    /// # Panics
-    /// Panics on an empty batch, a length mismatch, or a `row` that is not
-    /// [`Sequential::param_count`] long.
-    pub fn visit_example_grads_on(
-        &self,
-        backend: Backend,
-        xs: &[Tensor],
-        labels: &[usize],
-        row: &mut [f64],
-        mut visit: impl FnMut(f64, &mut [f64]),
-    ) {
-        assert_eq!(xs.len(), labels.len(), "per_example_grads: length mismatch");
-        assert_eq!(
-            row.len(),
-            self.param_count(),
-            "per_example_grads: row buffer must hold one gradient"
-        );
-        let (logits, caches) = self.forward_batch_cached_on(backend, &Tensor::stack(xs));
-        let classes = logits.shape()[1];
-        let mut losses = Vec::with_capacity(xs.len());
-        let mut d_logits = Vec::with_capacity(logits.len());
-        for (row, &label) in logits.data().chunks_exact(classes).zip(labels) {
-            let (loss, d_row) = softmax_cross_entropy(row, label);
-            losses.push(loss);
-            d_logits.extend_from_slice(&d_row);
-        }
-        let d_logits = Tensor::from_vec(&[xs.len(), classes], d_logits);
-
-        // Delta pass: the output gradient of every parameterised layer, for
-        // the whole batch. Deltas stop at the first parameterised layer —
-        // the gradient of the input itself is never needed.
-        let mut deltas: Vec<Option<Tensor>> = vec![None; self.layers.len()];
-        if let Some(first) = self.layers.iter().position(|l| l.param_count() > 0) {
-            let mut d = d_logits;
-            for i in (first..self.layers.len()).rev() {
-                let layer = &self.layers[i];
-                let d_in =
-                    (i > first).then(|| layer.backward_input_batch_on(backend, &d, &caches[i]));
-                if layer.param_count() > 0 {
-                    deltas[i] = Some(d);
-                }
-                match d_in {
-                    Some(d_in) => d = d_in,
-                    None => break,
-                }
-            }
-        }
-        let segments = param_segments(self.layers.iter().map(Layer::param_count));
-
-        for (ex, &loss) in losses.iter().enumerate() {
-            for (((layer, cache), delta), segment) in
-                self.layers.iter().zip(&caches).zip(&deltas).zip(&segments)
-            {
-                if let Some(delta) = delta {
-                    let grad = &mut row[segment.clone()];
-                    layer.write_param_grad_on(backend, delta, cache, ex, grad);
-                }
-            }
-            visit(loss, row);
-        }
-    }
-
-    /// Losses and per-example flat parameter gradients for a labelled batch,
-    /// computed in one batched forward/backward pass. Returns the per-example
-    /// losses and a `[B, param_count]` gradient tensor.
-    ///
-    /// Bit-identical to calling [`Sequential::per_example_grad_scalar`] on
-    /// each example — the batched layers replicate the scalar accumulation
-    /// order exactly.
-    ///
-    /// # Panics
-    /// Panics on an empty batch or a length mismatch.
-    pub fn per_example_grads(&self, xs: &[Tensor], labels: &[usize]) -> (Vec<f64>, Tensor) {
-        self.per_example_grads_on(Backend::native(), xs, labels)
-    }
-
-    /// [`Sequential::per_example_grads`] with the gemms routed through a
-    /// [`Backend`] handle: a collector over
-    /// [`Sequential::visit_example_grads_on`]. On [`Backend::native`] the two
-    /// are bit-identical; other backends are tolerance-equivalent only.
-    pub fn per_example_grads_on(
-        &self,
-        backend: Backend,
-        xs: &[Tensor],
-        labels: &[usize],
-    ) -> (Vec<f64>, Tensor) {
-        let dim = self.param_count();
-        let mut losses = Vec::with_capacity(xs.len());
-        let mut grads = Vec::with_capacity(xs.len() * dim);
-        let mut row = vec![0.0; dim];
-        self.visit_example_grads_on(backend, xs, labels, &mut row, |loss, row| {
-            losses.push(loss);
-            grads.extend_from_slice(row);
-        });
-        (losses, Tensor::from_vec(&[xs.len(), dim], grads))
-    }
-
-    /// Loss and flat parameter gradient for a single labelled example —
-    /// the per-example gradient DPSGD clips. Runs as the B=1 case of the
-    /// batched pipeline.
-    pub fn per_example_grad(&self, x: &Tensor, label: usize) -> (f64, Vec<f64>) {
-        let (losses, grads) = self.per_example_grads(std::slice::from_ref(x), &[label]);
-        (losses[0], grads.into_vec())
-    }
-
-    /// [`Sequential::per_example_grad`] with the gemms routed through a
-    /// [`Backend`] handle.
-    pub fn per_example_grad_on(
-        &self,
-        backend: Backend,
-        x: &Tensor,
-        label: usize,
-    ) -> (f64, Vec<f64>) {
-        let (losses, grads) = self.per_example_grads_on(backend, std::slice::from_ref(x), &[label]);
-        (losses[0], grads.into_vec())
     }
 
     /// Single-example gradient on the original example-at-a-time path —
@@ -568,7 +565,7 @@ mod tests {
         let m = tiny_mlp(3);
         let x = example(10, &[6]);
         let label = 1;
-        let (_, grad) = m.per_example_grad(&x, label);
+        let (_, grad) = m.per_example_grad_on(Backend::native(), &x, label);
         assert_eq!(grad.len(), m.param_count());
         let base = m.params();
         let h = 1e-6;
@@ -599,7 +596,7 @@ mod tests {
         // Give batch norm non-trivial statistics first.
         m.update_norm_stats(&[x.clone(), example(12, &[1, 8, 8])]);
         let label = 2;
-        let (_, grad) = m.per_example_grad(&x, label);
+        let (_, grad) = m.per_example_grad_on(Backend::native(), &x, label);
         assert_eq!(grad.len(), m.param_count());
         let base = m.params();
         let h = 1e-6;
@@ -633,7 +630,7 @@ mod tests {
         for _ in 0..200 {
             let mut grad = vec![0.0; m.param_count()];
             for (x, &y) in xs.iter().zip(&ys) {
-                let (_, g) = m.per_example_grad(x, y);
+                let (_, g) = m.per_example_grad_on(Backend::native(), x, y);
                 for (a, b) in grad.iter_mut().zip(&g) {
                     *a += b;
                 }

@@ -48,7 +48,7 @@ pub fn purchase_mlp<R: Rng + ?Sized>(rng: &mut R) -> Sequential {
 mod tests {
     use super::*;
     use dpaudit_math::seeded_rng;
-    use dpaudit_tensor::Tensor;
+    use dpaudit_tensor::{Backend, Tensor};
 
     #[test]
     fn mnist_cnn_shapes() {
@@ -75,7 +75,7 @@ mod tests {
     fn per_example_grad_dimensions_match() {
         let m = mnist_cnn(&mut seeded_rng(3));
         let x = Tensor::full(&[1, 28, 28], 0.3);
-        let (loss, g) = m.per_example_grad(&x, 7);
+        let (loss, g) = m.per_example_grad_on(Backend::native(), &x, 7);
         assert!(loss.is_finite());
         assert_eq!(g.len(), m.param_count());
         assert!(dpaudit_math::l2_norm(&g) > 0.0);

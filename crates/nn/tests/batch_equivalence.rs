@@ -1,17 +1,20 @@
 //! Property tests: the batched pipeline is bit-identical to the scalar
 //! example-at-a-time oracle, over random shapes and batch sizes.
 //!
-//! The row visitor (`visit_example_grads_on`) and its `per_example_grads`
-//! collector promise that the row of example `b` carries the exact bits
-//! `per_example_grad_scalar` would produce for it — the invariant the DPSGD
-//! clip loop's determinism rests on. The batched
+//! The row visitor (`visit_example_grads_on`) and its `per_example_grads_on`
+//! collector promise that at f64 the row of example `b` carries the exact
+//! bits `per_example_grad_scalar` would produce for it — the invariant the
+//! DPSGD clip loop's determinism rests on. The batched
 //! norm-stats refresh and batched inference (`mean_loss`, `accuracy`) are
-//! pinned the same way against the scalar formulas below.
+//! pinned the same way against the scalar formulas below. The same model
+//! narrowed to f32 (`Sequential::cast`) has no scalar oracle: its rows are
+//! checked against the f64 ones within a tolerance, and against B = 1 runs
+//! bit for bit.
 
 use dpaudit_math::seeded_rng;
 use dpaudit_nn::{
     mnist_cnn, purchase_mlp, softmax_cross_entropy, BatchNorm2d, Conv2d, Dense, Layer, MaxPool2d,
-    Sequential, SequentialF32, PURCHASE_FEATURES,
+    Sequential, PURCHASE_FEATURES,
 };
 use dpaudit_tensor::Backend;
 use dpaudit_tensor::Tensor;
@@ -46,7 +49,7 @@ fn assert_batch_matches_scalar(
     xs: &[Tensor],
     ys: &[usize],
 ) -> Result<(), TestCaseError> {
-    let (losses, grads) = model.per_example_grads(xs, ys);
+    let (losses, grads) = model.per_example_grads_on(Backend::native(), xs, ys);
     let dim = model.param_count();
     prop_assert_eq!(grads.shape(), &[xs.len(), dim]);
     for (i, (x, &y)) in xs.iter().zip(ys).enumerate() {
@@ -258,25 +261,103 @@ fn f32_row_visitor_rows_match_single_example_runs_bitwise() {
     // No scalar oracle exists at f32; the row visitor must instead be
     // batch-independent: each streamed row equals the B = 1 run on its
     // example, with one row buffer reused across calls.
-    let mut model = mnist_cnn(&mut seeded_rng(11));
-    model.update_norm_stats(&inputs(12, 8, &[1, 28, 28]));
-    let shadow = SequentialF32::from_model(&model);
-    let mut row = vec![0.0f32; shadow.param_count()];
-    for (k, examples) in [1, 17].into_iter().enumerate() {
-        let xs = inputs(200 + k as u64, examples, &[1, 28, 28]);
-        let ys: Vec<usize> = (0..examples).map(|i| (i + k) % 10).collect();
-        let mut visited = 0;
-        shadow.visit_example_grads_on(Backend::native(), &xs, &ys, &mut row, |loss, row| {
-            let x = std::slice::from_ref(&xs[visited]);
-            let (solo_loss, solo) = shadow.per_example_grads(x, &ys[visited..=visited]);
-            assert_eq!(loss.to_bits(), solo_loss[0].to_bits());
-            for (j, (a, e)) in row.iter().zip(&solo).enumerate() {
-                assert_eq!(a.to_bits(), e.to_bits(), "example {visited} grad[{j}]");
-            }
-            row.iter_mut().for_each(|v| *v = f32::NAN);
-            visited += 1;
-        });
-        assert_eq!(visited, examples);
+    let mut mnist = mnist_cnn(&mut seeded_rng(11));
+    mnist.update_norm_stats(&inputs(12, 8, &[1, 28, 28]));
+    // (model, input shape, batch sizes, classes)
+    let cases = [
+        (mnist.cast::<f32>(), &[1, 28, 28][..], &[1, 17][..], 10),
+        (cnn(9).cast(), &[1, 8, 8], &[3], 3),
+    ];
+    for (model, shape, sizes, classes) in cases {
+        let mut row = vec![0.0f32; model.param_count()];
+        for (k, &examples) in sizes.iter().enumerate() {
+            let xs = inputs(200 + k as u64, examples, shape);
+            let ys: Vec<usize> = (0..examples).map(|i| (i + k) % classes).collect();
+            let mut visited = 0;
+            model.visit_example_grads_on(Backend::native(), &xs, &ys, &mut row, |loss, row| {
+                let (solo_loss, solo) =
+                    model.per_example_grad_on(Backend::native(), &xs[visited], ys[visited]);
+                assert_eq!(loss.to_bits(), solo_loss.to_bits());
+                for (j, (a, e)) in row.iter().zip(&solo).enumerate() {
+                    assert_eq!(a.to_bits(), e.to_bits(), "example {visited} grad[{j}]");
+                }
+                row.iter_mut().for_each(|v| *v = f32::NAN);
+                visited += 1;
+            });
+            assert_eq!(visited, examples);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "empty batch")]
+fn row_visitor_refuses_an_empty_batch() {
+    let model = mlp(1, 4, 3, 2);
+    let mut row = vec![0.0; model.param_count()];
+    model.visit_example_grads_on(Backend::native(), &[], &[], &mut row, |_, _| {});
+}
+
+/// The f32 pipeline must agree with the f64 oracle within a tolerance band
+/// scaled to single-precision accumulation depth.
+fn assert_f32_grads_close(model: &Sequential, xs: &[Tensor], labels: &[usize]) {
+    let (losses64, grads64) = model.per_example_grads_on(Backend::native(), xs, labels);
+    let narrowed = model.cast::<f32>();
+    assert_eq!(narrowed.param_count(), model.param_count());
+    let (losses32, grads32) = narrowed.per_example_grads_on(Backend::native(), xs, labels);
+    for (a, b) in losses64.iter().zip(&losses32) {
+        assert!((a - b).abs() < 1e-4, "loss differs: {a} vs {b}");
+    }
+    assert_eq!(grads32.len(), grads64.len());
+    for (i, (g64, g32)) in grads64.data().iter().zip(grads32.data()).enumerate() {
+        let diff = (g64 - f64::from(*g32)).abs();
+        let tol = 1e-4 + 1e-3 * g64.abs();
+        assert!(diff < tol, "grad[{i}] differs: {g64} vs {g32}");
+    }
+}
+
+#[test]
+fn mlp_f32_grads_match_f64_within_tolerance() {
+    let labels = vec![0, 1, 2, 0, 1, 2, 0];
+    assert_f32_grads_close(&mlp(3, 6, 5, 3), &inputs(100, 7, &[6]), &labels);
+}
+
+#[test]
+fn cnn_f32_grads_match_f64_within_tolerance() {
+    let labels = vec![2, 0, 1, 1, 2];
+    assert_f32_grads_close(&cnn(5), &inputs(200, 5, &[1, 8, 8]), &labels);
+}
+
+/// Layer-pipeline-level backend equivalence: the blas backend's
+/// per-example gradients must track the native oracle within a
+/// reassociation-scale tolerance, in both precisions.
+#[cfg(feature = "blas")]
+#[test]
+fn blas_backend_grads_track_native_within_tolerance() {
+    let blas = Backend::resolve("blas").unwrap();
+    let native = Backend::native();
+    let model = cnn(5);
+    let xs = inputs(200, 5, &[1, 8, 8]);
+    let labels = vec![2, 0, 1, 1, 2];
+
+    let (l_native, g_native) = model.per_example_grads_on(native, &xs, &labels);
+    let (l_blas, g_blas) = model.per_example_grads_on(blas, &xs, &labels);
+    for (a, b) in l_native.iter().zip(&l_blas) {
+        assert!((a - b).abs() < 1e-9, "f64 loss differs: {a} vs {b}");
+    }
+    for (i, (a, b)) in g_native.data().iter().zip(g_blas.data()).enumerate() {
+        let tol = 1e-9 * (1.0 + a.abs());
+        assert!((a - b).abs() < tol, "f64 grad[{i}] differs: {a} vs {b}");
+    }
+
+    let narrowed = model.cast::<f32>();
+    let (_, s_native) = narrowed.per_example_grads_on(native, &xs, &labels);
+    let (_, s_blas) = narrowed.per_example_grads_on(blas, &xs, &labels);
+    for (i, (a, b)) in s_native.data().iter().zip(s_blas.data()).enumerate() {
+        let tol = 1e-4 + 1e-3 * f64::from(a.abs());
+        assert!(
+            (f64::from(*a) - f64::from(*b)).abs() < tol,
+            "f32 grad[{i}] differs: {a} vs {b}"
+        );
     }
 }
 

@@ -5,12 +5,12 @@
 
 use dpaudit_math::seeded_rng;
 use dpaudit_nn::{softmax_cross_entropy, BatchNorm2d, Conv2d, Dense, Layer, MaxPool2d, Sequential};
-use dpaudit_tensor::Tensor;
+use dpaudit_tensor::{Backend, Tensor};
 use proptest::prelude::*;
 use rand::Rng;
 
 fn fd_check(model: &Sequential, x: &Tensor, label: usize, coords: &[usize], tol: f64) {
-    let (_, grad) = model.per_example_grad(x, label);
+    let (_, grad) = model.per_example_grad_on(Backend::native(), x, label);
     let base = model.params();
     let loss_at = |params: &[f64]| {
         let mut m = model.clone();

@@ -1,16 +1,19 @@
-//! The row-major dense f64 tensor type.
+//! The row-major dense tensor type, generic over its [`Elem`] precision.
 
 use serde::{Deserialize, Serialize};
 
-/// A dense, row-major, heap-allocated f64 tensor of arbitrary rank.
+use crate::elem::Elem;
+
+/// A dense, row-major, heap-allocated tensor of arbitrary rank, holding
+/// `f64` values unless another [`Elem`] is named.
 ///
 /// Shapes are small (rank ≤ 4 in this workspace) and checked eagerly; all
 /// out-of-contract uses panic with a descriptive message rather than
 /// returning garbage — gradient code is much easier to debug that way.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Tensor {
+pub struct Tensor<E = f64> {
     shape: Vec<usize>,
-    data: Vec<f64>,
+    data: Vec<E>,
 }
 
 impl Tensor {
@@ -32,11 +35,44 @@ impl Tensor {
         }
     }
 
+    /// Elementwise in-place addition.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn add_assign(&mut self, other: &Tensor) {
+        assert_eq!(self.shape, other.shape, "add_assign: shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
+    }
+
+    /// Elementwise in-place scaling.
+    pub fn scale(&mut self, alpha: f64) {
+        for a in &mut self.data {
+            *a *= alpha;
+        }
+    }
+
+    /// Map a function over all elements, returning a new tensor.
+    pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
+        Tensor {
+            shape: self.shape.clone(),
+            data: self.data.iter().map(|&x| f(x)).collect(),
+        }
+    }
+
+    /// ℓ2 norm of the flattened tensor.
+    pub fn l2_norm(&self) -> f64 {
+        dpaudit_math::l2_norm(&self.data)
+    }
+}
+
+impl<E: Elem> Tensor<E> {
     /// Wrap an existing buffer.
     ///
     /// # Panics
     /// Panics if `data.len()` does not match the product of `shape`.
-    pub fn from_vec(shape: &[usize], data: Vec<f64>) -> Self {
+    pub fn from_vec(shape: &[usize], data: Vec<E>) -> Self {
         let len: usize = shape.iter().product();
         assert_eq!(
             data.len(),
@@ -66,18 +102,28 @@ impl Tensor {
     }
 
     /// Immutable view of the backing buffer in row-major order.
-    pub fn data(&self) -> &[f64] {
+    pub fn data(&self) -> &[E] {
         &self.data
     }
 
     /// Mutable view of the backing buffer.
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub fn data_mut(&mut self) -> &mut [E] {
         &mut self.data
     }
 
     /// Consume the tensor and return its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
+    pub fn into_vec(self) -> Vec<E> {
         self.data
+    }
+
+    /// The same tensor at precision `F`, each value converted through f64
+    /// ([`Elem::to_f64`], then [`Elem::from_f64`]): exact when widening,
+    /// round-to-nearest when narrowing f64 to f32.
+    pub fn cast<F: Elem>(&self) -> Tensor<F> {
+        Tensor {
+            shape: self.shape.clone(),
+            data: self.data.iter().map(|&v| F::from_f64(v.to_f64())).collect(),
+        }
     }
 
     /// Reinterpret the buffer under a new shape with the same element count.
@@ -121,45 +167,14 @@ impl Tensor {
     }
 
     /// Element access by multi-index.
-    pub fn at(&self, idx: &[usize]) -> f64 {
+    pub fn at(&self, idx: &[usize]) -> E {
         self.data[self.offset(idx)]
     }
 
     /// Mutable element access by multi-index.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f64 {
+    pub fn at_mut(&mut self, idx: &[usize]) -> &mut E {
         let off = self.offset(idx);
         &mut self.data[off]
-    }
-
-    /// Elementwise in-place addition.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "add_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Elementwise in-place scaling.
-    pub fn scale(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
-    /// Map a function over all elements, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// ℓ2 norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f64 {
-        dpaudit_math::l2_norm(&self.data)
     }
 
     /// Stack same-shaped tensors into one batch tensor of shape
@@ -167,7 +182,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on an empty slice or a shape mismatch between examples.
-    pub fn stack(examples: &[Tensor]) -> Tensor {
+    pub fn stack(examples: &[Tensor<E>]) -> Tensor<E> {
         let first = examples
             .first()
             .expect("Tensor::stack: empty example slice");
@@ -283,6 +298,27 @@ mod tests {
     #[should_panic(expected = "shape")]
     fn stack_checks_shapes() {
         Tensor::stack(&[Tensor::zeros(&[2]), Tensor::zeros(&[3])]);
+    }
+
+    #[test]
+    fn cast_narrows_and_widens_exactly_once() {
+        let t = Tensor::from_vec(&[3], vec![0.1, -2.5, 1e-40]);
+        let narrow: Tensor<f32> = t.cast();
+        assert_eq!(narrow.shape(), &[3]);
+        assert_eq!(narrow.data(), &[0.1f32, -2.5, 1e-40]);
+        let wide: Tensor = narrow.cast();
+        assert_eq!(wide.data(), &[f64::from(0.1f32), -2.5, f64::from(1e-40f32)]);
+        assert_eq!(t.cast::<f64>(), t);
+    }
+
+    #[test]
+    fn serde_round_trips_both_precisions() {
+        use serde::{Deserialize, Serialize};
+        let t = Tensor::from_vec(&[2], vec![1.5, -0.25]);
+        assert_eq!(Tensor::from_value(&t.to_value()).unwrap(), t);
+        let narrow: Tensor<f32> = t.cast();
+        let back: Tensor<f32> = Tensor::from_value(&narrow.to_value()).unwrap();
+        assert_eq!(back, narrow);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use dp_identifiability::dpsgd::MinibatchConfig;
 use dp_identifiability::prelude::*;
+use dp_identifiability::tensor::Backend;
 
 #[test]
 #[should_panic(expected = "epsilon must be positive")]
@@ -66,7 +67,7 @@ fn training_on_empty_dataset_panics() {
 fn out_of_range_label_panics_in_forward() {
     let model = purchase_mlp(&mut seeded_rng(3));
     let x = Tensor::full(&[600], 0.5);
-    model.per_example_grad(&x, 100); // valid labels are 0..100
+    model.per_example_grad_on(Backend::native(), &x, 100); // valid labels are 0..100
 }
 
 #[test]
