@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use crate::clip::ClippingStrategy;
 use crate::config::ComputeMode;
 use crate::exec::{batch_pool, clip_loop_mode};
+use crate::trainer::poisson_batch;
 
 /// Configuration of a mini-batch DPSGD run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,8 +84,10 @@ pub struct MinibatchOutcome {
     pub accountant: RdpAccountant,
     /// Realised batch sizes per step.
     pub batch_sizes: Vec<usize>,
-    /// Mean training loss per step over the sampled batch (NaN-free; steps
-    /// with an empty batch record the previous value).
+    /// Mean training loss per step over the sampled batch (NaN-free; a step
+    /// with an empty batch records the previous step's value, or `0.0` — the
+    /// empty-batch value of [`crate::StepRecord::mean_loss`] — before the
+    /// first non-empty batch).
     pub losses: Vec<f64>,
 }
 
@@ -114,18 +117,13 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     let mut accountant = RdpAccountant::new();
     let mut batch_sizes = Vec::with_capacity(cfg.steps);
     let mut losses = Vec::with_capacity(cfg.steps);
-    let mut last_loss = f64::NAN;
+    let mut last_loss = 0.0;
     let pool = batch_pool();
 
     for _ in 0..cfg.steps {
-        // Poisson sampling: each record independently with probability q.
-        let batch: Vec<usize> = (0..data.len())
-            .filter(|_| rng.gen::<f64>() < cfg.sampling_rate)
-            .collect();
-        batch_sizes.push(batch.len());
+        let (batch_xs, batch_ys) = poisson_batch(data, cfg.sampling_rate, rng);
+        batch_sizes.push(batch_xs.len());
 
-        let batch_xs: Vec<_> = batch.iter().map(|&i| data.xs[i].clone()).collect();
-        let batch_ys: Vec<_> = batch.iter().map(|&i| data.ys[i]).collect();
         let norm_stats_span = obs::span(obs::names::NORM_STATS_SPAN);
         model.update_norm_stats(&batch_xs);
         drop(norm_stats_span);
@@ -140,8 +138,8 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
             ComputeMode::F64,
             Backend::native(),
         );
-        if !batch.is_empty() {
-            last_loss = clipped.loss_total / batch.len() as f64;
+        if !batch_xs.is_empty() {
+            last_loss = clipped.loss_total / batch_xs.len() as f64;
         }
         losses.push(last_loss);
 
@@ -257,6 +255,17 @@ mod tests {
         let out = train_minibatch_dpsgd(&mut model, &data, &c, &mut rng);
         assert_eq!(out.batch_sizes.len(), 3);
         assert!(out.epsilon(1e-3) > 0.0);
+    }
+
+    #[test]
+    fn empty_first_batch_records_a_finite_zero_loss() {
+        // Four records at q = 0.05: seed 14's first step samples none of them.
+        let mut model = tiny_model(13);
+        let data = tiny_data(4);
+        let out = train_minibatch_dpsgd(&mut model, &data, &cfg(0.05, 3, 1.0), &mut seeded_rng(14));
+        assert_eq!(out.batch_sizes[0], 0, "the seed must leave step 0 empty");
+        assert_eq!(out.losses[0], 0.0);
+        assert!(out.losses.iter().all(|l| l.is_finite()), "{:?}", out.losses);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use std::borrow::Cow;
 
+use dpaudit_datasets::Dataset;
 use dpaudit_math::{l2_distance, l2_norm, GaussianSampler};
 use dpaudit_nn::Sequential;
 use dpaudit_obs as obs;
@@ -100,6 +101,21 @@ enum BatchSelector<'a, S: ?Sized> {
     Poisson { q: f64, sample_rng: &'a mut S },
 }
 
+/// One Poisson-subsampled batch of `data`: every record independently with
+/// probability `q`, one `rng` draw per record in index order, gathered into
+/// owned examples and labels.
+pub(crate) fn poisson_batch<R: Rng + ?Sized>(
+    data: &Dataset,
+    q: f64,
+    rng: &mut R,
+) -> (Vec<Tensor>, Vec<usize>) {
+    let picked: Vec<usize> = (0..data.len()).filter(|_| rng.gen::<f64>() < q).collect();
+    (
+        picked.iter().map(|&i| data.xs[i].clone()).collect(),
+        picked.iter().map(|&i| data.ys[i]).collect(),
+    )
+}
+
 /// The step loop behind [`train_dpsgd`] and [`train_dpsgd_subsampled`].
 ///
 /// Only three things depend on the batch selector: which examples a step
@@ -147,13 +163,8 @@ fn train_steps<R: Rng + ?Sized, S: Rng + ?Sized>(
         let (xs, ys): (Cow<[Tensor]>, Cow<[usize]>) = match &mut batches {
             BatchSelector::Full => (Cow::Borrowed(&data.xs), Cow::Borrowed(&data.ys)),
             BatchSelector::Poisson { q, sample_rng } => {
-                let picked: Vec<usize> = (0..data.len())
-                    .filter(|_| sample_rng.gen::<f64>() < *q)
-                    .collect();
-                (
-                    picked.iter().map(|&i| data.xs[i].clone()).collect(),
-                    picked.iter().map(|&i| data.ys[i]).collect(),
-                )
+                let (xs, ys) = poisson_batch(data, *q, &mut **sample_rng);
+                (Cow::Owned(xs), Cow::Owned(ys))
             }
         };
         let n = xs.len();

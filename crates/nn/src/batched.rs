@@ -18,7 +18,7 @@
 //! into one reused row.
 
 use dpaudit_tensor::{
-    conv2d_backward_input_into, conv2d_backward_params_on, conv2d_forward_gemm_on,
+    conv2d_backward_input_into, conv2d_backward_params_on, conv2d_forward_gemm_on, im2col_into,
     maxpool2d_backward, maxpool2d_forward, Backend, Conv2dDims, Elem, PoolDims,
 };
 
@@ -100,7 +100,7 @@ pub(crate) fn conv_forward<T: Elem>(
         .zip(patches.chunks_exact_mut(rows * cols))
         .zip(out.chunks_exact_mut(dims.out_channels * rows))
     {
-        T::im2col_on(backend, ex, dims, p);
+        im2col_into(ex, dims, p);
         conv2d_forward_gemm_on(backend, p, kernels, bias, dims, o);
     }
     (out, patches)

@@ -3,8 +3,8 @@
 //! Everything above the tensor layer (batched layer forward/backward, the
 //! per-example gradient pipeline, the clip loop) funnels its matrix products
 //! through a [`Backend`] handle. A backend provides exactly the four gemm
-//! entry points (`matmul_acc`/`matmul_nt_acc` × f64/f32) plus the `im2col`
-//! lowering; nothing else about the pipeline changes per backend.
+//! entry points (`matmul_acc`/`matmul_nt_acc` × f64/f32); nothing else about
+//! the pipeline, the `im2col` lowering included, changes per backend.
 //!
 //! # Determinism contract
 //!
@@ -24,17 +24,16 @@
 //! the virtual call sits at the granularity of a whole gemm (`O(m·k·n)`
 //! work), never inside an inner loop.
 
-use crate::conv::{im2col_into, Conv2dDims};
 use crate::ops;
 use crate::simd::kernel_backend;
 use std::fmt;
 use std::ops::Deref;
 
-/// A compute backend: the gemm entry points the batched pipeline dispatches
-/// through, plus the `im2col` lowering that feeds them.
+/// A compute backend: the four gemms the batched pipeline dispatches through.
 ///
 /// All gemms accumulate into `c` (`C += op(A)·op(B)`); `m`/`k`/`n` follow the
-/// conventions of [`ops::matmul_acc`] and [`ops::matmul_nt_acc`].
+/// conventions of [`ops::matmul_acc`] and [`ops::matmul_nt_acc`], exact
+/// buffer-length checks included.
 pub trait ComputeBackend: Send + Sync {
     /// Stable identifier, as stored in run headers (`"native"`, `"blas"`).
     fn name(&self) -> &'static str;
@@ -54,18 +53,6 @@ pub trait ComputeBackend: Send + Sync {
 
     /// Single-precision `C += A·Bᵀ`.
     fn matmul_nt_acc_f32(&self, c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize);
-
-    /// Lower one `[C_in, H, W]` volume into a patch matrix (f64). The default
-    /// is the shared order-preserving lowering; a backend only overrides this
-    /// if it wants a different patch layout for its own gemm.
-    fn im2col_f64(&self, input: &[f64], dims: &Conv2dDims, patches: &mut [f64]) {
-        im2col_into(input, dims, patches);
-    }
-
-    /// Lower one `[C_in, H, W]` volume into a patch matrix (f32).
-    fn im2col_f32(&self, input: &[f32], dims: &Conv2dDims, patches: &mut [f32]) {
-        im2col_into(input, dims, patches);
-    }
 }
 
 /// A `Copy` handle to a compiled-in backend. Resolve once per trial with
@@ -192,7 +179,8 @@ impl ComputeBackend for NativeBackend {
 ///
 /// Blocked BLAS kernels sum in a different order than the native chain, so
 /// this backend is **not** bitwise-comparable to the oracle — it is gated by
-/// the tolerance-equivalence suite and must be opted into per run.
+/// the tolerance-equivalence suite and must be opted into per run. CBLAS only
+/// bounds buffers from below, so each method runs the native length checks.
 #[cfg(feature = "blas")]
 pub struct BlasBackend;
 
@@ -208,6 +196,7 @@ impl ComputeBackend for BlasBackend {
 
     fn matmul_acc_f64(&self, c: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
         use cblas::{dgemm, Layout, Transpose};
+        ops::check_nn(c, a, b, m, k, n);
         dgemm(
             Layout::RowMajor,
             Transpose::None,
@@ -228,6 +217,7 @@ impl ComputeBackend for BlasBackend {
 
     fn matmul_nt_acc_f64(&self, c: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
         use cblas::{dgemm, Layout, Transpose};
+        ops::check_nt(c, a, b, m, k, n);
         dgemm(
             Layout::RowMajor,
             Transpose::None,
@@ -248,6 +238,7 @@ impl ComputeBackend for BlasBackend {
 
     fn matmul_acc_f32(&self, c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
         use cblas::{sgemm, Layout, Transpose};
+        ops::check_nn(c, a, b, m, k, n);
         sgemm(
             Layout::RowMajor,
             Transpose::None,
@@ -268,6 +259,7 @@ impl ComputeBackend for BlasBackend {
 
     fn matmul_nt_acc_f32(&self, c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
         use cblas::{sgemm, Layout, Transpose};
+        ops::check_nt(c, a, b, m, k, n);
         sgemm(
             Layout::RowMajor,
             Transpose::None,
@@ -445,6 +437,20 @@ mod tests {
             blas.matmul_acc_f64(&mut via_blas, &a, &b, m, k, n);
             Backend::native().matmul_acc_f64(&mut via_native, &a, &b, m, k, n);
             assert_ne!(via_blas, via_native);
+        }
+
+        #[test]
+        #[should_panic(expected = "matmul: A has wrong length")]
+        fn blas_f64_gemm_rejects_an_over_long_operand() {
+            let blas = Backend::resolve("blas").unwrap();
+            blas.matmul_acc_f64(&mut [0.0; 4], &[0.0; 5], &[0.0; 4], 2, 2, 2);
+        }
+
+        #[test]
+        #[should_panic(expected = "matmul_nt: C has wrong length")]
+        fn blas_f32_gemm_rejects_an_over_long_output() {
+            let blas = Backend::resolve("blas").unwrap();
+            blas.matmul_nt_acc_f32(&mut [0.0; 5], &[0.0; 4], &[0.0; 4], 2, 2, 2);
         }
     }
 }

@@ -2,17 +2,18 @@
 //!
 //! The paper's MNIST reference network uses two 3×3 convolution layers. The
 //! direct kernels here operate on a single `[C, H, W]` volume; the batched
-//! gradient pipeline lowers each example to a patch matrix ([`im2col`]) and
-//! runs the forward pass and the parameter gradients as one gemm-shaped
-//! call per example ([`conv2d_forward_gemm`], [`conv2d_backward_params`]).
+//! gradient pipeline lowers each example to a patch matrix ([`im2col_into`])
+//! and runs the forward pass and the parameter gradients as one gemm-shaped
+//! call per example through a [`Backend`] ([`conv2d_forward_gemm_on`],
+//! [`conv2d_backward_params_on`]).
 //! Both routes accumulate each output element in the same order — bias (or
 //! zero) first, then `(ic, u, v)` / pixel terms in ascending lexicographic
 //! order — so direct and gemm results are bit-identical.
 //!
-//! All routines are generic over the kernel element type ([`Elem`]) so the
-//! f32 storage mode of the batched pipeline reuses the same code, and every
-//! allocating entry point has a `_into` twin writing into caller-owned
-//! scratch so the per-example batched loop stays allocation-free.
+//! All routines are generic over the kernel element type ([`Elem`]). The
+//! direct kernels allocate and are the test oracles; the entry points the
+//! batched pipeline calls write into caller-owned scratch, so its
+//! per-example loop stays allocation-free.
 
 use crate::backend::Backend;
 use crate::elem::Elem;
@@ -46,13 +47,13 @@ impl Conv2dDims {
     }
 
     /// Number of output pixels per channel (`out_h · out_w`) — the row
-    /// count of the [`im2col`] patch matrix.
+    /// count of the [`im2col_into`] patch matrix.
     pub fn patch_rows(&self) -> usize {
         self.out_h() * self.out_w()
     }
 
     /// Receptive-field size (`in_channels · k_h · k_w`) — the column count
-    /// of the [`im2col`] patch matrix and the row length of one kernel.
+    /// of the [`im2col_into`] patch matrix and the row length of one kernel.
     pub fn patch_cols(&self) -> usize {
         self.in_channels * self.k_h * self.k_w
     }
@@ -68,6 +69,11 @@ impl Conv2dDims {
             self.in_channels * self.in_h * self.in_w,
             "conv2d: input buffer length mismatch"
         );
+        self.check_params(kernels, bias);
+    }
+
+    /// Validate the kernel and bias lengths.
+    fn check_params<T>(&self, kernels: &[T], bias: &[T]) {
         assert_eq!(
             kernels.len(),
             self.out_channels * self.in_channels * self.k_h * self.k_w,
@@ -120,12 +126,11 @@ pub fn conv2d_forward<T: Elem>(
 
 /// Lower one `[C_in, H, W]` volume into a caller-owned patch matrix buffer.
 ///
-/// The allocation-free core of [`im2col`]: `patches` must have length
-/// `patch_rows() · patch_cols()` and is fully overwritten. Row
-/// `p = i·out_w + j` holds the receptive field of output pixel `(i, j)`,
-/// with columns ordered `(ic, u, v)` lexicographically — the same order a
-/// kernel's weights are stored in, and the same order the direct kernels
-/// accumulate in.
+/// `patches` must have length `patch_rows() · patch_cols()` and is fully
+/// overwritten. Row `p = i·out_w + j` holds the receptive field of output
+/// pixel `(i, j)`, with columns ordered `(ic, u, v)` lexicographically — the
+/// same order a kernel's weights are stored in, and the same order the
+/// direct kernels accumulate in.
 ///
 /// # Panics
 /// Panics if `input` or `patches` lengths disagree with `dims`.
@@ -158,35 +163,13 @@ pub fn im2col_into<T: Elem>(input: &[T], dims: &Conv2dDims, patches: &mut [T]) {
     }
 }
 
-/// Lower one `[C_in, H, W]` volume to its valid-convolution patch matrix.
-///
-/// Allocating wrapper over [`im2col_into`].
-pub fn im2col<T: Elem>(input: &[T], dims: &Conv2dDims) -> Vec<T> {
-    let mut patches = vec![T::ZERO; dims.patch_rows() * dims.patch_cols()];
-    im2col_into(input, dims, &mut patches);
-    patches
-}
-
-/// Forward convolution as one gemm over a pre-lowered patch matrix, writing
-/// into a caller-owned output buffer (`[C_out, patch_rows]`, overwritten).
-///
-/// Bit-identical to [`conv2d_forward`]: the bias seeds each accumulator and
-/// the `(ic, u, v)` terms are added in the same ascending order.
+/// Forward convolution as one [`Backend`] gemm over a patch matrix, into
+/// `out` (`[C_out, patch_rows]`, overwritten). On [`Backend::native`] it is
+/// bit-identical to [`conv2d_forward`]: the bias seeds each accumulator and
+/// the `(ic, u, v)` terms follow in the same ascending order.
 ///
 /// # Panics
 /// Panics if buffer lengths disagree with `dims`.
-pub fn conv2d_forward_gemm_into<T: Elem>(
-    patches: &[T],
-    kernels: &[T],
-    bias: &[T],
-    dims: &Conv2dDims,
-    out: &mut [T],
-) {
-    conv2d_forward_gemm_on(Backend::native(), patches, kernels, bias, dims, out);
-}
-
-/// [`conv2d_forward_gemm_into`] with the gemm routed through a [`Backend`]
-/// handle. On [`Backend::native`] the two are bit-identical.
 pub fn conv2d_forward_gemm_on<T: Elem>(
     backend: Backend,
     patches: &[T],
@@ -195,7 +178,7 @@ pub fn conv2d_forward_gemm_on<T: Elem>(
     dims: &Conv2dDims,
     out: &mut [T],
 ) {
-    let (rows, cols) = (dims.patch_rows(), dims.patch_cols());
+    let (oc, rows, cols) = (dims.out_channels, dims.patch_rows(), dims.patch_cols());
     assert_eq!(
         patches.len(),
         rows * cols,
@@ -203,59 +186,24 @@ pub fn conv2d_forward_gemm_on<T: Elem>(
     );
     assert_eq!(
         out.len(),
-        dims.out_channels * rows,
+        oc * rows,
         "conv2d_forward_gemm: output buffer length mismatch"
     );
-    for (oc, plane) in out.chunks_exact_mut(rows).enumerate() {
-        plane.fill(bias[oc]);
+    dims.check_params(kernels, bias);
+    for (plane, &b) in out.chunks_exact_mut(rows).zip(bias) {
+        plane.fill(b);
     }
-    T::matmul_nt_acc_on(
-        backend,
-        out,
-        kernels,
-        patches,
-        dims.out_channels,
-        cols,
-        rows,
-    );
+    T::matmul_nt_acc_on(backend, out, kernels, patches, oc, cols, rows);
 }
 
-/// Forward convolution as one gemm over a pre-lowered patch matrix:
-/// `out[oc, p] = b[oc] + kernels_row(oc) · patchesᵀ`.
-///
-/// Allocating wrapper over [`conv2d_forward_gemm_into`].
-pub fn conv2d_forward_gemm<T: Elem>(
-    patches: &[T],
-    kernels: &[T],
-    bias: &[T],
-    dims: &Conv2dDims,
-) -> Vec<T> {
-    let mut out = vec![T::ZERO; dims.out_channels * dims.patch_rows()];
-    conv2d_forward_gemm_into(patches, kernels, bias, dims, &mut out);
-    out
-}
-
-/// Parameter gradients of the valid convolution from a patch matrix, written
-/// into caller-owned buffers (both fully overwritten).
-///
-/// `d_kernels` has kernel shape (`[C_out, patch_cols]`), `d_bias` has length
-/// `C_out`. Bit-identical to the kernel-gradient half of [`conv2d_backward`]:
-/// each element is a zero-seeded sum over output pixels in row-major order.
+/// Parameter gradients of the valid convolution as one [`Backend`] gemm over
+/// a patch matrix, into `d_kernels` (`[C_out, patch_cols]`) and `d_bias`
+/// (both overwritten). On [`Backend::native`] it is bit-identical to the
+/// kernel-gradient half of [`conv2d_backward`]: zero-seeded sums over
+/// output pixels in row-major order.
 ///
 /// # Panics
 /// Panics if buffer lengths disagree with `dims`.
-pub fn conv2d_backward_params_into<T: Elem>(
-    patches: &[T],
-    d_out: &[T],
-    dims: &Conv2dDims,
-    d_kernels: &mut [T],
-    d_bias: &mut [T],
-) {
-    conv2d_backward_params_on(Backend::native(), patches, d_out, dims, d_kernels, d_bias);
-}
-
-/// [`conv2d_backward_params_into`] with the gemm routed through a [`Backend`]
-/// handle. On [`Backend::native`] the two are bit-identical.
 pub fn conv2d_backward_params_on<T: Elem>(
     backend: Backend,
     patches: &[T],
@@ -264,10 +212,10 @@ pub fn conv2d_backward_params_on<T: Elem>(
     d_kernels: &mut [T],
     d_bias: &mut [T],
 ) {
-    let (rows, cols) = (dims.patch_rows(), dims.patch_cols());
+    let (oc, rows, cols) = (dims.out_channels, dims.patch_rows(), dims.patch_cols());
     assert_eq!(
         d_out.len(),
-        dims.out_channels * rows,
+        oc * rows,
         "conv2d_backward_params: d_out length mismatch"
     );
     assert_eq!(
@@ -277,24 +225,16 @@ pub fn conv2d_backward_params_on<T: Elem>(
     );
     assert_eq!(
         d_kernels.len(),
-        dims.out_channels * cols,
+        oc * cols,
         "conv2d_backward_params: d_kernels length mismatch"
     );
     assert_eq!(
         d_bias.len(),
-        dims.out_channels,
+        oc,
         "conv2d_backward_params: d_bias length mismatch"
     );
     d_kernels.fill(T::ZERO);
-    T::matmul_acc_on(
-        backend,
-        d_kernels,
-        d_out,
-        patches,
-        dims.out_channels,
-        rows,
-        cols,
-    );
+    T::matmul_acc_on(backend, d_kernels, d_out, patches, oc, rows, cols);
     for (db, plane) in d_bias.iter_mut().zip(d_out.chunks_exact(rows)) {
         let mut acc = T::ZERO;
         for v in plane {
@@ -302,21 +242,6 @@ pub fn conv2d_backward_params_on<T: Elem>(
         }
         *db = acc;
     }
-}
-
-/// Parameter gradients of the valid convolution from a patch matrix:
-/// `(d_kernels, d_bias)` with `d_kernels[oc, l] = Σ_p d_out[oc, p]·patches[p, l]`.
-///
-/// Allocating wrapper over [`conv2d_backward_params_into`].
-pub fn conv2d_backward_params<T: Elem>(
-    patches: &[T],
-    d_out: &[T],
-    dims: &Conv2dDims,
-) -> (Vec<T>, Vec<T>) {
-    let mut d_kernels = vec![T::ZERO; dims.out_channels * dims.patch_cols()];
-    let mut d_bias = vec![T::ZERO; dims.out_channels];
-    conv2d_backward_params_into(patches, d_out, dims, &mut d_kernels, &mut d_bias);
-    (d_kernels, d_bias)
 }
 
 /// Input gradient of the valid convolution, written into a caller-owned
@@ -374,16 +299,6 @@ pub fn conv2d_backward_input_into<T: Elem>(
     }
 }
 
-/// Input gradient of the valid convolution: the transposed convolution of
-/// `d_out` with the kernels.
-///
-/// Allocating wrapper over [`conv2d_backward_input_into`].
-pub fn conv2d_backward_input<T: Elem>(kernels: &[T], d_out: &[T], dims: &Conv2dDims) -> Vec<T> {
-    let mut d_input = vec![T::ZERO; dims.in_channels * dims.in_h * dims.in_w];
-    conv2d_backward_input_into(kernels, d_out, dims, &mut d_input);
-    d_input
-}
-
 /// Gradients of the valid convolution on one example.
 ///
 /// Given the upstream gradient `d_out` (`[C_out, out_h, out_w]`), returns
@@ -434,7 +349,8 @@ pub fn conv2d_backward<T: Elem>(
             }
         }
     }
-    let d_input = conv2d_backward_input(kernels, d_out, dims);
+    let mut d_input = vec![T::ZERO; input.len()];
+    conv2d_backward_input_into(kernels, d_out, dims, &mut d_input);
     (d_input, d_kernels, d_bias)
 }
 
@@ -508,86 +424,66 @@ mod tests {
         assert_eq!(out, vec![32.0, 64.0, 96.0, 128.0]);
     }
 
+    /// Two input channels, three kernels and a non-square kernel: the shape
+    /// of every gemm-vs-direct comparison below.
+    const DIMS: Conv2dDims = Conv2dDims {
+        in_channels: 2,
+        out_channels: 3,
+        in_h: 6,
+        in_w: 5,
+        k_h: 3,
+        k_w: 2,
+    };
+
+    fn nan_filled<T: Elem>(len: usize) -> Vec<T> {
+        vec![T::from_f64(f64::NAN); len]
+    }
+
+    /// [`im2col_into`] over NaN-poisoned scratch, so a lowering that leaves
+    /// an element unwritten fails every comparison built on the patches.
+    fn patches_of<T: Elem>(input: &[T], dims: &Conv2dDims) -> Vec<T> {
+        let mut patches = nan_filled(dims.patch_rows() * dims.patch_cols());
+        im2col_into(input, dims, &mut patches);
+        patches
+    }
+
+    /// [`conv2d_forward_gemm_on`] on the native backend into NaN-poisoned
+    /// scratch.
+    fn gemm_forward<T: Elem>(
+        patches: &[T],
+        kernels: &[T],
+        bias: &[T],
+        dims: &Conv2dDims,
+    ) -> Vec<T> {
+        let mut out = nan_filled(dims.out_channels * dims.patch_rows());
+        conv2d_forward_gemm_on(Backend::native(), patches, kernels, bias, dims, &mut out);
+        out
+    }
+
     #[test]
     fn im2col_rows_hold_receptive_fields() {
         // Input 3x3 = [1..9], 2x2 kernel: row for output pixel (0,0) is the
         // top-left window in (ic, u, v) order.
         let input: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        let p = im2col(&input, &dims_1ch(3, 3, 2));
+        let p = patches_of(&input, &dims_1ch(3, 3, 2));
         assert_eq!(&p[0..4], &[1.0, 2.0, 4.0, 5.0]);
         assert_eq!(&p[4..8], &[2.0, 3.0, 5.0, 6.0]);
         assert_eq!(&p[12..16], &[5.0, 6.0, 8.0, 9.0]);
     }
 
     #[test]
-    fn into_variants_match_allocating_ones() {
-        let dims = Conv2dDims {
-            in_channels: 2,
-            out_channels: 3,
-            in_h: 6,
-            in_w: 5,
-            k_h: 3,
-            k_w: 2,
-        };
-        let input = pseudo(dims.in_channels * dims.in_h * dims.in_w, 1e-2);
-        let kernels = pseudo(dims.out_channels * dims.patch_cols(), 3e-3);
-        let bias = vec![0.3, -0.2, 0.1];
-        let d_out = pseudo(dims.out_channels * dims.patch_rows(), 5e-3);
-
-        let patches = im2col(&input, &dims);
-        // Scratch deliberately poisoned: _into must fully overwrite.
-        let mut patches2 = vec![f64::NAN; patches.len()];
-        im2col_into(&input, &dims, &mut patches2);
-        assert_eq!(patches, patches2);
-
-        let fwd = conv2d_forward_gemm(&patches, &kernels, &bias, &dims);
-        let mut fwd2 = vec![f64::NAN; fwd.len()];
-        conv2d_forward_gemm_into(&patches, &kernels, &bias, &dims, &mut fwd2);
-        for (a, b) in fwd.iter().zip(&fwd2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        let (dk, db) = conv2d_backward_params(&patches, &d_out, &dims);
-        let mut dk2 = vec![f64::NAN; dk.len()];
-        let mut db2 = vec![f64::NAN; db.len()];
-        conv2d_backward_params_into(&patches, &d_out, &dims, &mut dk2, &mut db2);
-        for (a, b) in dk.iter().zip(&dk2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in db.iter().zip(&db2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        let d_in = conv2d_backward_input(&kernels, &d_out, &dims);
-        let mut d_in2 = vec![f64::NAN; d_in.len()];
-        conv2d_backward_input_into(&kernels, &d_out, &dims, &mut d_in2);
-        for (a, b) in d_in.iter().zip(&d_in2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn f32_gemm_forward_matches_direct() {
-        let dims = Conv2dDims {
-            in_channels: 2,
-            out_channels: 3,
-            in_h: 6,
-            in_w: 5,
-            k_h: 3,
-            k_w: 2,
-        };
-        let input: Vec<f32> = pseudo(dims.in_channels * dims.in_h * dims.in_w, 1e-2)
+        let input: Vec<f32> = pseudo(DIMS.in_channels * DIMS.in_h * DIMS.in_w, 1e-2)
             .iter()
             .map(|&v| v as f32)
             .collect();
-        let kernels: Vec<f32> = pseudo(dims.out_channels * dims.patch_cols(), 3e-3)
+        let kernels: Vec<f32> = pseudo(DIMS.out_channels * DIMS.patch_cols(), 3e-3)
             .iter()
             .map(|&v| v as f32)
             .collect();
         let bias = vec![0.3f32, -0.2, 0.1];
-        let direct = conv2d_forward(&input, &kernels, &bias, &dims);
-        let patches = im2col(&input, &dims);
-        let gemm = conv2d_forward_gemm(&patches, &kernels, &bias, &dims);
+        let direct = conv2d_forward(&input, &kernels, &bias, &DIMS);
+        let gemm = gemm_forward(&patches_of(&input, &DIMS), &kernels, &bias, &DIMS);
         for (g, d) in gemm.iter().zip(&direct) {
             assert_eq!(g.to_bits(), d.to_bits());
         }
@@ -595,20 +491,11 @@ mod tests {
 
     #[test]
     fn gemm_forward_is_bit_identical_to_direct() {
-        let dims = Conv2dDims {
-            in_channels: 2,
-            out_channels: 3,
-            in_h: 6,
-            in_w: 5,
-            k_h: 3,
-            k_w: 2,
-        };
-        let input = pseudo(dims.in_channels * dims.in_h * dims.in_w, 1e-2);
-        let kernels = pseudo(dims.out_channels * dims.patch_cols(), 3e-3);
+        let input = pseudo(DIMS.in_channels * DIMS.in_h * DIMS.in_w, 1e-2);
+        let kernels = pseudo(DIMS.out_channels * DIMS.patch_cols(), 3e-3);
         let bias = vec![0.3, -0.2, 0.1];
-        let direct = conv2d_forward(&input, &kernels, &bias, &dims);
-        let patches = im2col(&input, &dims);
-        let gemm = conv2d_forward_gemm(&patches, &kernels, &bias, &dims);
+        let direct = conv2d_forward(&input, &kernels, &bias, &DIMS);
+        let gemm = gemm_forward(&patches_of(&input, &DIMS), &kernels, &bias, &DIMS);
         for (g, d) in gemm.iter().zip(&direct) {
             assert_eq!(g.to_bits(), d.to_bits());
         }
@@ -616,24 +503,32 @@ mod tests {
 
     #[test]
     fn gemm_param_gradients_are_bit_identical_to_direct() {
-        let dims = Conv2dDims {
-            in_channels: 2,
-            out_channels: 3,
-            in_h: 6,
-            in_w: 5,
-            k_h: 3,
-            k_w: 2,
-        };
-        let input = pseudo(dims.in_channels * dims.in_h * dims.in_w, 1e-2);
-        let kernels = pseudo(dims.out_channels * dims.patch_cols(), 3e-3);
-        let d_out = pseudo(dims.out_channels * dims.patch_rows(), 5e-3);
-        let (_, dk_direct, db_direct) = conv2d_backward(&input, &kernels, &d_out, &dims);
-        let patches = im2col(&input, &dims);
-        let (dk_gemm, db_gemm) = conv2d_backward_params(&patches, &d_out, &dims);
+        let input = pseudo(DIMS.in_channels * DIMS.in_h * DIMS.in_w, 1e-2);
+        let kernels = pseudo(DIMS.out_channels * DIMS.patch_cols(), 3e-3);
+        let d_out = pseudo(DIMS.out_channels * DIMS.patch_rows(), 5e-3);
+        let (d_in_direct, dk_direct, db_direct) = conv2d_backward(&input, &kernels, &d_out, &DIMS);
+        let patches = patches_of(&input, &DIMS);
+        let mut dk_gemm = nan_filled(dk_direct.len());
+        let mut db_gemm = nan_filled(db_direct.len());
+        conv2d_backward_params_on(
+            Backend::native(),
+            &patches,
+            &d_out,
+            &DIMS,
+            &mut dk_gemm,
+            &mut db_gemm,
+        );
         for (g, d) in dk_gemm.iter().zip(&dk_direct) {
             assert_eq!(g.to_bits(), d.to_bits());
         }
         for (g, d) in db_gemm.iter().zip(&db_direct) {
+            assert_eq!(g.to_bits(), d.to_bits());
+        }
+        // The input gradient is one shared routine; poisoned scratch must
+        // come back exactly as the oracle's zero-seeded buffer did.
+        let mut d_in = nan_filled(d_in_direct.len());
+        conv2d_backward_input_into(&kernels, &d_out, &DIMS, &mut d_in);
+        for (g, d) in d_in.iter().zip(&d_in_direct) {
             assert_eq!(g.to_bits(), d.to_bits());
         }
     }
@@ -644,7 +539,8 @@ mod tests {
         // the old zero-skip fast path silently dropped it.
         let out = conv2d_forward(&[f64::NAN], &[0.0], &[0.0], &dims_1ch(1, 1, 1));
         assert!(out[0].is_nan());
-        let d_in = conv2d_backward_input(&[0.0], &[f64::NAN], &dims_1ch(1, 1, 1));
+        let mut d_in = [0.0];
+        conv2d_backward_input_into(&[0.0], &[f64::NAN], &dims_1ch(1, 1, 1), &mut d_in);
         assert!(d_in[0].is_nan());
     }
 
@@ -726,5 +622,37 @@ mod tests {
     #[should_panic(expected = "input buffer length mismatch")]
     fn input_length_checked() {
         conv2d_forward(&[0.0; 8], &[0.0], &[0.0], &dims_1ch(3, 3, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: bias length mismatch")]
+    fn gemm_forward_checks_bias_length() {
+        let dims = dims_1ch(3, 3, 2);
+        let patches = vec![0.0; dims.patch_rows() * dims.patch_cols()];
+        let mut out = vec![0.0; dims.patch_rows()];
+        conv2d_forward_gemm_on(
+            Backend::native(),
+            &patches,
+            &[0.0; 4],
+            &[0.0; 2],
+            &dims,
+            &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: kernel buffer length mismatch")]
+    fn gemm_forward_checks_kernel_length() {
+        let dims = dims_1ch(3, 3, 2);
+        let patches = vec![0.0; dims.patch_rows() * dims.patch_cols()];
+        let mut out = vec![0.0; dims.patch_rows()];
+        conv2d_forward_gemm_on(
+            Backend::native(),
+            &patches,
+            &[0.0; 5],
+            &[0.0],
+            &dims,
+            &mut out,
+        );
     }
 }

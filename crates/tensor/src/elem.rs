@@ -5,11 +5,9 @@
 //! and an `f32` storage mode that halves the memory traffic of the batched
 //! per-example gradient buffers. Kernels that must exist for both types are
 //! written once against [`Elem`]; the trait's gemm hooks route each type to
-//! its own dispatched (SIMD or scalar) microkernel.
+//! its own method of a [`Backend`].
 
 use crate::backend::Backend;
-use crate::conv::Conv2dDims;
-use crate::ops;
 
 /// A kernel element type: `f64` or `f32`.
 ///
@@ -39,13 +37,7 @@ pub trait Elem:
     /// Widening conversion to `f64` (exact for `f32`).
     fn to_f64(self) -> f64;
 
-    /// Dispatched accumulating gemm `C += A·B` for this element type.
-    fn matmul_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize);
-    /// Dispatched accumulating gemm `C += A·Bᵀ` for this element type.
-    fn matmul_nt_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize);
-
-    /// Backend-routed `C += A·B`: the same gemm through a [`Backend`] handle.
-    /// On [`Backend::native`] this is bit-identical to [`Elem::matmul_acc`].
+    /// `C += A·B` through a [`Backend`] handle, for this element type.
     fn matmul_acc_on(
         backend: Backend,
         c: &mut [Self],
@@ -55,7 +47,7 @@ pub trait Elem:
         k: usize,
         n: usize,
     );
-    /// Backend-routed `C += A·Bᵀ`.
+    /// `C += A·Bᵀ` through a [`Backend`] handle, for this element type.
     fn matmul_nt_acc_on(
         backend: Backend,
         c: &mut [Self],
@@ -65,9 +57,6 @@ pub trait Elem:
         k: usize,
         n: usize,
     );
-
-    /// Backend-routed `im2col` lowering for this element type.
-    fn im2col_on(backend: Backend, input: &[Self], dims: &Conv2dDims, patches: &mut [Self]);
 }
 
 impl Elem for f64 {
@@ -82,16 +71,6 @@ impl Elem for f64 {
     #[inline]
     fn to_f64(self) -> f64 {
         self
-    }
-
-    #[inline]
-    fn matmul_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
-        ops::matmul_acc(c, a, b, m, k, n);
-    }
-
-    #[inline]
-    fn matmul_nt_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
-        ops::matmul_nt_acc(c, a, b, m, k, n);
     }
 
     #[inline]
@@ -119,11 +98,6 @@ impl Elem for f64 {
     ) {
         backend.matmul_nt_acc_f64(c, a, b, m, k, n);
     }
-
-    #[inline]
-    fn im2col_on(backend: Backend, input: &[Self], dims: &Conv2dDims, patches: &mut [Self]) {
-        backend.im2col_f64(input, dims, patches);
-    }
 }
 
 impl Elem for f32 {
@@ -138,16 +112,6 @@ impl Elem for f32 {
     #[inline]
     fn to_f64(self) -> f64 {
         f64::from(self)
-    }
-
-    #[inline]
-    fn matmul_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
-        ops::matmul_acc_f32(c, a, b, m, k, n);
-    }
-
-    #[inline]
-    fn matmul_nt_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
-        ops::matmul_nt_acc_f32(c, a, b, m, k, n);
     }
 
     #[inline]
@@ -174,10 +138,5 @@ impl Elem for f32 {
         n: usize,
     ) {
         backend.matmul_nt_acc_f32(c, a, b, m, k, n);
-    }
-
-    #[inline]
-    fn im2col_on(backend: Backend, input: &[Self], dims: &Conv2dDims, patches: &mut [Self]) {
-        backend.im2col_f32(input, dims, patches);
     }
 }

@@ -35,35 +35,12 @@ impl Tensor {
         }
     }
 
-    /// Elementwise in-place addition.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "add_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Elementwise in-place scaling.
-    pub fn scale(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
     /// Map a function over all elements, returning a new tensor.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
-    }
-
-    /// ℓ2 norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f64 {
-        dpaudit_math::l2_norm(&self.data)
     }
 }
 
@@ -143,40 +120,6 @@ impl<E: Elem> Tensor<E> {
         self
     }
 
-    /// Row-major linear offset of a multi-index.
-    ///
-    /// # Panics
-    /// Panics if the index rank or any coordinate is out of range.
-    pub fn offset(&self, idx: &[usize]) -> usize {
-        assert_eq!(
-            idx.len(),
-            self.shape.len(),
-            "offset: rank mismatch ({:?} vs {:?})",
-            idx,
-            self.shape
-        );
-        let mut off = 0;
-        for (d, (&i, &s)) in idx.iter().zip(&self.shape).enumerate() {
-            assert!(
-                i < s,
-                "offset: index {i} out of bounds for dim {d} (size {s})"
-            );
-            off = off * s + i;
-        }
-        off
-    }
-
-    /// Element access by multi-index.
-    pub fn at(&self, idx: &[usize]) -> E {
-        self.data[self.offset(idx)]
-    }
-
-    /// Mutable element access by multi-index.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut E {
-        let off = self.offset(idx);
-        &mut self.data[off]
-    }
-
     /// Stack same-shaped tensors into one batch tensor of shape
     /// `[B, ...shape]`, copying each example's buffer in order.
     ///
@@ -217,37 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_and_indexing() {
-        let t = Tensor::from_vec(&[2, 3], vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(t.at(&[0, 0]), 0.0);
-        assert_eq!(t.at(&[0, 2]), 2.0);
-        assert_eq!(t.at(&[1, 0]), 3.0);
-        assert_eq!(t.at(&[1, 2]), 5.0);
-    }
-
-    #[test]
-    fn offset_is_row_major() {
-        let t = Tensor::zeros(&[2, 3, 4]);
-        assert_eq!(t.offset(&[0, 0, 0]), 0);
-        assert_eq!(t.offset(&[0, 0, 3]), 3);
-        assert_eq!(t.offset(&[0, 1, 0]), 4);
-        assert_eq!(t.offset(&[1, 0, 0]), 12);
-        assert_eq!(t.offset(&[1, 2, 3]), 23);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn offset_bounds_checked() {
-        Tensor::zeros(&[2, 3]).offset(&[0, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank mismatch")]
-    fn offset_rank_checked() {
-        Tensor::zeros(&[2, 3]).offset(&[0]);
-    }
-
-    #[test]
     #[should_panic(expected = "wants 6 elements")]
     fn from_vec_length_checked() {
         Tensor::from_vec(&[2, 3], vec![0.0; 5]);
@@ -258,7 +170,7 @@ mod tests {
         let t = Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f64).collect());
         let r = t.reshape(&[6]);
         assert_eq!(r.shape(), &[6]);
-        assert_eq!(r.at(&[4]), 4.0);
+        assert_eq!(r.data()[4], 4.0);
     }
 
     #[test]
@@ -268,21 +180,11 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_ops() {
-        let mut a = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
-        let b = Tensor::from_vec(&[3], vec![10.0, 20.0, 30.0]);
-        a.add_assign(&b);
-        assert_eq!(a.data(), &[11.0, 22.0, 33.0]);
-        a.scale(0.5);
-        assert_eq!(a.data(), &[5.5, 11.0, 16.5]);
+    fn map_applies_elementwise() {
+        let a = Tensor::from_vec(&[3], vec![5.5, 11.0, 16.5]);
         let m = a.map(|x| x * 2.0);
+        assert_eq!(m.shape(), &[3]);
         assert_eq!(m.data(), &[11.0, 22.0, 33.0]);
-    }
-
-    #[test]
-    fn l2_norm_flattened() {
-        let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 2.0, 4.0]);
-        assert!((t.l2_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -319,13 +221,5 @@ mod tests {
         let narrow: Tensor<f32> = t.cast();
         let back: Tensor<f32> = Tensor::from_value(&narrow.to_value()).unwrap();
         assert_eq!(back, narrow);
-    }
-
-    #[test]
-    fn at_mut_writes_through() {
-        let mut t = Tensor::zeros(&[2, 2]);
-        *t.at_mut(&[1, 1]) = 9.0;
-        assert_eq!(t.at(&[1, 1]), 9.0);
-        assert_eq!(t.data()[3], 9.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor kernels.
 
 use dpaudit_tensor::{
-    conv2d_backward, conv2d_forward, matmul, matvec, matvec_transposed, maxpool2d_forward,
+    conv2d_backward, conv2d_forward, matmul_acc, matvec, matvec_transposed, maxpool2d_forward,
     outer_product, Conv2dDims, PoolDims, Tensor,
 };
 use proptest::prelude::*;
@@ -48,7 +48,8 @@ proptest! {
     /// matmul with a vector as a 1-column matrix agrees with matvec.
     #[test]
     fn matmul_matvec_consistency(w in small_vec(12), x in small_vec(4)) {
-        let mm = matmul(&w, &x, 3, 4, 1);
+        let mut mm = vec![0.0; 3];
+        matmul_acc(&mut mm, &w, &x, 3, 4, 1);
         let mv = matvec(&w, &x, 3, 4);
         for i in 0..3 {
             prop_assert!((mm[i] - mv[i]).abs() < 1e-12);
@@ -136,13 +137,4 @@ proptest! {
         prop_assert_eq!(r, t);
     }
 
-    /// ‖a + b‖ ≤ ‖a‖ + ‖b‖ for the tensor norm (triangle inequality).
-    #[test]
-    fn norm_triangle_inequality(a in small_vec(16), b in small_vec(16)) {
-        let ta = Tensor::from_vec(&[16], a.clone());
-        let tb = Tensor::from_vec(&[16], b.clone());
-        let mut sum = ta.clone();
-        sum.add_assign(&tb);
-        prop_assert!(sum.l2_norm() <= ta.l2_norm() + tb.l2_norm() + 1e-9);
-    }
 }
