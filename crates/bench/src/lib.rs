@@ -211,8 +211,8 @@ impl Workload {
     }
 }
 
-/// Run a trial batch with rayon across per-trial seeds (deterministic: the
-/// seed split does not depend on scheduling).
+/// Run a trial batch with rayon across per-trial seeds (deterministic:
+/// trial `i` uses `trial_seed(master_seed, i)`, whatever the scheduling).
 pub fn run_batch_parallel(
     workload: Workload,
     pair: &NeighborPair,
@@ -231,7 +231,7 @@ pub fn run_batch_parallel(
                 settings,
                 test_set,
                 |rng| workload.build_model(rng),
-                split_seed(master_seed, 1000 + i as u64),
+                dpaudit_core::trial_seed(master_seed, i),
             )
         })
         .collect();
@@ -472,34 +472,17 @@ pub fn run_audit_grid(workload: Workload, reps: usize, steps: usize, seed: u64) 
                 reps,
                 split_seed(seed, 301 + (ei * 2 + si) as u64),
             );
-            let ls_floor = settings.dpsgd.ls_floor;
-            let eps_ls: f64 = batch
-                .trials
-                .iter()
-                .map(|t| {
-                    dpaudit_core::LocalSensitivityEstimator::per_trial(
-                        &t.sigmas,
-                        &t.local_sensitivities,
-                        row.delta,
-                        ls_floor,
-                    )
-                })
-                .sum::<f64>()
-                / batch.trials.len() as f64;
+            let report =
+                dpaudit_core::AuditReport::from_batch(&batch, row.epsilon, row.delta, &settings);
             cells.push(AuditCell {
                 rho_beta: rb,
                 target_epsilon: row.epsilon,
                 scaling: scaling.to_string(),
-                eps_from_ls: eps_ls,
-                eps_from_belief: dpaudit_core::MaxBeliefEstimator::from_max_belief(
-                    batch.max_score(),
-                ),
-                eps_from_advantage: dpaudit_core::AdvantageEstimator::from_advantage(
-                    batch.advantage(),
-                    row.delta,
-                ),
-                advantage: batch.advantage(),
-                max_belief: batch.max_score(),
+                eps_from_ls: report.eps_from_ls,
+                eps_from_belief: report.eps_from_belief,
+                eps_from_advantage: report.eps_from_advantage,
+                advantage: report.advantage,
+                max_belief: report.max_belief,
             });
         }
     }

@@ -320,7 +320,7 @@ fn cmd_demo(opts: &Opts) -> Result<String, String> {
         .build()
         .expect("valid trial settings");
     let batch = run_di_trials(&pair, &settings, None, model_builder, reps, seed);
-    let report = AuditReport::from_batch_with_settings(&batch, eps, delta, &settings);
+    let report = AuditReport::from_batch(&batch, eps, delta, &settings);
 
     if let Some(out_path) = opts.str_opt("out") {
         // Save one representative transcript for `dpaudit audit`.

@@ -1,5 +1,5 @@
-//! Empirical privacy-loss estimation — the ε′ estimators of §6.4 behind a
-//! common [`EpsEstimator`] interface.
+//! Empirical privacy-loss estimation — the three ε′ estimators of §6.4 and
+//! the [`AuditReport`] they fill.
 //!
 //! After training with a target budget ε, a data owner can ask what loss the
 //! concrete run actually realised. If ε′ ≈ ε the noise was no larger than
@@ -7,27 +7,26 @@
 //! runs); ε′ > ε can occur with the probability budgeted by δ (belief
 //! estimator) or by Monte-Carlo error (advantage estimator).
 //!
-//! Every estimator consumes the same order-insensitive batch summary,
-//! [`EstimatorInputs`], and produces a named [`EpsEstimate`]. The batch path
-//! ([`AuditReport::from_batch`]) and the runtime's streaming aggregator both
-//! build the report through [`AuditReport::from_inputs`], which routes each
-//! field through the corresponding estimator — so the two paths are
-//! bit-identical by construction, and additional estimators (e.g. the
-//! confidence-interval-aware [`BinomialCiEstimator`]) plug in without
-//! touching either pipeline.
+//! There is one path from trials to a report. ε′-from-LS needs a trial's
+//! per-step series, so it is computed per trial by
+//! [`LocalSensitivityEstimator::for_trial`]. A batch then reduces to the
+//! order-insensitive summary [`EstimatorInputs`], and
+//! [`AuditReport::from_inputs`] turns that summary into the report. The
+//! batch path ([`AuditReport::from_batch`]) and the runtime's streaming
+//! aggregator both end there, so the two are bit-identical by construction.
 
 use dpaudit_dp::PrivacyLedger;
-use dpaudit_math::{inv_phi, logit};
+use dpaudit_math::logit;
 use serde::{Deserialize, Serialize};
 
+use crate::experiment::{DiBatchResult, DiTrialResult, Sampling, TrialSettings};
 use crate::scores::{advantage_from_success_rate, epsilon_for_rho_alpha};
 
-/// The order-insensitive batch summary every [`EpsEstimator`] consumes.
+/// The order-insensitive batch summary an [`AuditReport`] is built from.
 ///
-/// These five numbers are a sufficient statistic for all shipped
-/// estimators; they are cheap to stream (the runtime folds them in O(1)
-/// memory) and cheap to archive next to an estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// These five numbers are a sufficient statistic for the three estimators;
+/// they are cheap to stream (the runtime folds them in O(1) memory).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorInputs {
     /// Number of Exp^DI challenge trials behind the Monte-Carlo estimators.
     pub trials: usize,
@@ -36,69 +35,27 @@ pub struct EstimatorInputs {
     /// Maximum final posterior belief in the trained dataset.
     pub max_belief: f64,
     /// Mean over trials of the per-trial ε′-from-local-sensitivities
-    /// (each computed by [`LocalSensitivityEstimator::per_trial`]).
+    /// (each computed by [`LocalSensitivityEstimator::for_trial`]).
     pub mean_eps_ls: f64,
     /// The δ of the (ε, δ) claim under audit.
     pub delta: f64,
 }
 
 impl EstimatorInputs {
-    /// Summarise a completed batch. The per-trial ε′-from-LS values are
-    /// computed here (they need the per-step series) and averaged in trial
-    /// order, matching the streaming aggregator's fold bit-for-bit.
+    /// Summarise a completed batch run with `settings`. The per-trial
+    /// ε′-from-LS values are computed here (they need the per-step series)
+    /// and averaged in trial order, matching the streaming aggregator's
+    /// fold bit-for-bit.
     ///
     /// # Panics
     /// Panics on an empty batch (and propagates per-trial estimator
     /// panics for degenerate series).
-    pub fn from_batch(batch: &crate::experiment::DiBatchResult, delta: f64, ls_floor: f64) -> Self {
-        Self::from_batch_sampled(
-            batch,
-            delta,
-            ls_floor,
-            crate::experiment::Sampling::FullBatch,
-            f64::NAN,
-        )
-    }
-
-    /// [`Self::from_batch`] for an arbitrary [`Sampling`] protocol. Under
-    /// Poisson subsampling the per-trial ε′-from-LS composes the
-    /// *subsampled* Gaussian RDP steps (amplification by subsampling)
-    /// instead of the per-step local-sensitivity ledger — the recorded σ/LS
-    /// series would ignore the amplification and overstate the loss.
-    /// `noise_multiplier` is only read on the Poisson branch.
-    ///
-    /// [`Sampling`]: crate::experiment::Sampling
-    ///
-    /// # Panics
-    /// Panics on an empty batch (and propagates per-trial estimator
-    /// panics for degenerate series).
-    pub fn from_batch_sampled(
-        batch: &crate::experiment::DiBatchResult,
-        delta: f64,
-        ls_floor: f64,
-        sampling: crate::experiment::Sampling,
-        noise_multiplier: f64,
-    ) -> Self {
+    pub fn from_batch(batch: &DiBatchResult, delta: f64, settings: &TrialSettings) -> Self {
         assert!(!batch.trials.is_empty(), "EstimatorInputs: empty batch");
         let mean_eps_ls = batch
             .trials
             .iter()
-            .map(|t| match sampling {
-                crate::experiment::Sampling::FullBatch => LocalSensitivityEstimator::per_trial(
-                    &t.sigmas,
-                    &t.local_sensitivities,
-                    delta,
-                    ls_floor,
-                ),
-                crate::experiment::Sampling::Poisson { q } => {
-                    LocalSensitivityEstimator::per_trial_subsampled(
-                        q,
-                        noise_multiplier,
-                        t.sigmas.len(),
-                        delta,
-                    )
-                }
-            })
+            .map(|t| LocalSensitivityEstimator::for_trial(t, settings, delta))
             .sum::<f64>()
             / batch.trials.len() as f64;
         EstimatorInputs {
@@ -110,58 +67,53 @@ impl EstimatorInputs {
         }
     }
 
-    /// Fraction of correct guesses.
-    pub fn success_rate(&self) -> f64 {
-        assert!(self.trials > 0, "EstimatorInputs: no trials");
-        self.successes as f64 / self.trials as f64
-    }
-
     /// Empirical membership advantage `2·Pr(correct) − 1` (Definition 5).
+    ///
+    /// # Panics
+    /// Panics when the summary holds no trials.
     pub fn advantage(&self) -> f64 {
-        advantage_from_success_rate(self.success_rate())
-    }
-}
-
-/// One named ε′ estimate, carrying the inputs it was computed from so an
-/// archived estimate is self-describing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpsEstimate {
-    /// The estimator's stable name (see [`EpsEstimator::name`]).
-    pub estimator: String,
-    /// The estimated realised privacy loss ε′.
-    pub eps: f64,
-    /// The batch summary the estimate was computed from.
-    pub inputs: EstimatorInputs,
-}
-
-/// An empirical ε′ estimator over a batch summary.
-///
-/// Implementations must be pure functions of [`EstimatorInputs`]: the
-/// runtime calls them once per finished batch from either the batch or the
-/// streaming path and relies on identical results.
-pub trait EpsEstimator {
-    /// Stable kebab-case identifier (used in reports and archives).
-    fn name(&self) -> &'static str;
-
-    /// The point estimate ε′ for this batch summary.
-    fn eps(&self, inputs: &EstimatorInputs) -> f64;
-
-    /// [`Self::eps`] packaged with provenance.
-    fn estimate(&self, inputs: &EstimatorInputs) -> EpsEstimate {
-        EpsEstimate {
-            estimator: self.name().to_string(),
-            eps: self.eps(inputs),
-            inputs: *inputs,
-        }
+        assert!(self.trials > 0, "EstimatorInputs: no trials");
+        advantage_from_success_rate(self.successes as f64 / self.trials as f64)
     }
 }
 
 /// §6.4, first estimator: ε′ from observed per-step noise levels and
-/// estimated local sensitivities, composed with the RDP accountant.
+/// estimated local sensitivities, composed with the RDP accountant. The
+/// batch-level estimate is the mean of the per-trial values.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalSensitivityEstimator;
 
 impl LocalSensitivityEstimator {
+    /// ε′ of one finished trial under its batch's sampling protocol — the
+    /// single per-trial estimate behind both the runtime executor and
+    /// [`EstimatorInputs::from_batch`].
+    ///
+    /// Full-batch trials compose their recorded per-step σ/LS series
+    /// ([`Self::per_trial`]). Poisson-subsampled trials compose the
+    /// subsampled Gaussian RDP steps ([`Self::per_trial_subsampled`]): the
+    /// recorded series would ignore the amplification by subsampling and
+    /// overstate the loss.
+    ///
+    /// # Panics
+    /// Propagates the panics of [`Self::per_trial`] and
+    /// [`Self::per_trial_subsampled`].
+    pub fn for_trial(trial: &DiTrialResult, settings: &TrialSettings, delta: f64) -> f64 {
+        match settings.sampling {
+            Sampling::FullBatch => Self::per_trial(
+                &trial.sigmas,
+                &trial.local_sensitivities,
+                delta,
+                settings.dpsgd.ls_floor,
+            ),
+            Sampling::Poisson { q } => Self::per_trial_subsampled(
+                q,
+                settings.dpsgd.noise_multiplier,
+                trial.sigmas.len(),
+                delta,
+            ),
+        }
+    }
+
     /// ε′ of a *single* trial from its per-step series.
     ///
     /// Step `i` added noise σᵢ while the realised sensitivity was only
@@ -235,18 +187,6 @@ impl LocalSensitivityEstimator {
     }
 }
 
-impl EpsEstimator for LocalSensitivityEstimator {
-    fn name(&self) -> &'static str {
-        "local-sensitivity"
-    }
-
-    /// The batch-level estimate is the mean of the per-trial values, which
-    /// the inputs already carry (series are not part of the summary).
-    fn eps(&self, inputs: &EstimatorInputs) -> f64 {
-        inputs.mean_eps_ls
-    }
-}
-
 /// §6.4, second estimator: ε′ from the maximum posterior belief observed
 /// across repeated runs (Eq. 10 inverted): `ε′ = ln(β̂_k / (1 − β̂_k))`.
 ///
@@ -265,7 +205,7 @@ impl MaxBeliefEstimator {
     pub fn from_max_belief(max_belief: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&max_belief),
-            "eps_from_max_belief: belief must be in [0, 1], got {max_belief}"
+            "MaxBeliefEstimator::from_max_belief: belief must be in [0, 1], got {max_belief}"
         );
         if max_belief <= 0.5 {
             0.0
@@ -275,115 +215,27 @@ impl MaxBeliefEstimator {
     }
 }
 
-impl EpsEstimator for MaxBeliefEstimator {
-    fn name(&self) -> &'static str {
-        "max-belief"
-    }
-
-    fn eps(&self, inputs: &EstimatorInputs) -> f64 {
-        Self::from_max_belief(inputs.max_belief)
-    }
-}
-
 /// §6.4, third estimator: ε′ from the empirical membership advantage
-/// (Eq. 15 inverted): `ε′ = √(2·ln(1.25/δ)) · Φ⁻¹((Adv′ + 1)/2)`.
+/// (Theorem 2 inverted): `ε′ = 2·√(2·ln(1.25/δ)) · Φ⁻¹((Adv′ + 1)/2)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdvantageEstimator;
 
 impl AdvantageEstimator {
-    /// The inversion itself: 0 for a non-positive advantage.
+    /// The inversion itself: 0 for a non-positive advantage, `+∞` for an
+    /// advantage ≥ 1 (every challenge won certifies no finite ε).
     ///
     /// # Panics
-    /// Panics for an advantage ≥ 1 or δ outside `(0, 1)`.
+    /// Panics for a NaN advantage or δ outside `(0, 1)`.
     pub fn from_advantage(advantage: f64, delta: f64) -> f64 {
         epsilon_for_rho_alpha(advantage, delta)
     }
-}
-
-impl EpsEstimator for AdvantageEstimator {
-    fn name(&self) -> &'static str {
-        "advantage"
-    }
-
-    fn eps(&self, inputs: &EstimatorInputs) -> f64 {
-        Self::from_advantage(inputs.advantage(), inputs.delta)
-    }
-}
-
-/// A Monte-Carlo-aware lower bound on ε′: instead of the point success
-/// rate, use the lower edge of a Wilson score interval on Pr(correct) at
-/// the configured confidence, then invert the randomized-response relation
-/// `Pr(correct) = e^ε / (1 + e^ε)`, i.e. `ε′ = logit(p_lo)`.
-///
-/// With few trials the interval is wide and the bound drops toward 0 —
-/// exactly the behaviour the point estimators lack (they can report a
-/// large ε′ from a lucky handful of trials). This estimator is not part of
-/// [`AuditReport`]'s fixed fields; it demonstrates how third-party
-/// estimators plug into the same pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct BinomialCiEstimator {
-    /// One-sided confidence level of the lower bound, in `(0, 1)`
-    /// (e.g. 0.95).
-    pub confidence: f64,
-}
-
-impl Default for BinomialCiEstimator {
-    fn default() -> Self {
-        BinomialCiEstimator { confidence: 0.95 }
-    }
-}
-
-impl EpsEstimator for BinomialCiEstimator {
-    fn name(&self) -> &'static str {
-        "binomial-ci"
-    }
-
-    /// # Panics
-    /// Panics for a confidence outside `(0, 1)` or an empty batch.
-    fn eps(&self, inputs: &EstimatorInputs) -> f64 {
-        assert!(
-            self.confidence > 0.0 && self.confidence < 1.0,
-            "BinomialCiEstimator: confidence must be in (0, 1)"
-        );
-        let n = inputs.trials as f64;
-        let p_hat = inputs.success_rate();
-        let z = inv_phi(self.confidence);
-        // Wilson score interval, lower edge.
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let centre = p_hat + z2 / (2.0 * n);
-        let margin = z * (p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)).sqrt();
-        let p_lo = ((centre - margin) / denom).clamp(0.0, 1.0);
-        if p_lo <= 0.5 {
-            0.0
-        } else {
-            logit(p_lo)
-        }
-    }
-}
-
-/// The three estimators of §6.4, in [`AuditReport`] field order.
-pub fn standard_estimators() -> Vec<Box<dyn EpsEstimator>> {
-    vec![
-        Box::new(LocalSensitivityEstimator),
-        Box::new(MaxBeliefEstimator),
-        Box::new(AdvantageEstimator),
-    ]
-}
-
-/// Run every estimator over one batch summary.
-pub fn run_estimators(
-    estimators: &[Box<dyn EpsEstimator>],
-    inputs: &EstimatorInputs,
-) -> Vec<EpsEstimate> {
-    estimators.iter().map(|e| e.estimate(inputs)).collect()
 }
 
 /// A complete audit of one experiment batch: the claimed budget, the three
 /// ε′ estimates, and the verdict a data scientist acts on.
 ///
 /// Serialisable (serde) so audits can be archived next to model artifacts.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AuditReport {
     /// The claimed/target total ε.
     pub target_epsilon: f64,
@@ -407,18 +259,20 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    /// Build a report from a batch of DI trials against a claimed budget.
+    /// Build a report from a batch of DI trials, run with `settings`,
+    /// against a claimed budget. The settings' sampling protocol selects
+    /// the per-trial ε′-from-LS accountant (see
+    /// [`LocalSensitivityEstimator::for_trial`]).
     ///
     /// # Panics
     /// Panics on an empty batch or invalid budget.
     pub fn from_batch(
-        batch: &crate::experiment::DiBatchResult,
+        batch: &DiBatchResult,
         target_epsilon: f64,
         delta: f64,
-        ls_floor: f64,
+        settings: &TrialSettings,
     ) -> Self {
-        assert!(!batch.trials.is_empty(), "AuditReport: empty batch");
-        let inputs = EstimatorInputs::from_batch(batch, delta, ls_floor);
+        let inputs = EstimatorInputs::from_batch(batch, delta, settings);
         let rho_beta_bound = crate::scores::rho_beta(target_epsilon);
         Self::from_inputs(
             &inputs,
@@ -427,41 +281,9 @@ impl AuditReport {
         )
     }
 
-    /// [`Self::from_batch`] with the batch's [`TrialSettings`] in hand, so
-    /// Poisson-subsampled batches route the ε′-from-LS estimate through
-    /// the subsampled accountant (see
-    /// [`EstimatorInputs::from_batch_sampled`]).
-    ///
-    /// [`TrialSettings`]: crate::experiment::TrialSettings
-    ///
-    /// # Panics
-    /// Panics on an empty batch or invalid budget.
-    pub fn from_batch_with_settings(
-        batch: &crate::experiment::DiBatchResult,
-        target_epsilon: f64,
-        delta: f64,
-        settings: &crate::experiment::TrialSettings,
-    ) -> Self {
-        assert!(!batch.trials.is_empty(), "AuditReport: empty batch");
-        let inputs = EstimatorInputs::from_batch_sampled(
-            batch,
-            delta,
-            settings.dpsgd.ls_floor,
-            settings.sampling,
-            settings.dpsgd.noise_multiplier,
-        );
-        let rho_beta_bound = crate::scores::rho_beta(target_epsilon);
-        Self::from_inputs(
-            &inputs,
-            target_epsilon,
-            batch.empirical_delta(rho_beta_bound),
-        )
-    }
-
-    /// Build a report from a streamed batch summary — the single
-    /// construction path shared by [`Self::from_batch`] and the runtime's
-    /// streaming aggregator, so both are bit-identical by construction.
-    /// Each ε′ field is routed through its [`EpsEstimator`].
+    /// Build a report from a batch summary — the single construction path
+    /// shared by [`Self::from_batch`] and the runtime's streaming
+    /// aggregator, so both are bit-identical by construction.
     ///
     /// `empirical_delta` is the fraction of trials whose final belief in
     /// the trained dataset exceeded ρ_β(`target_epsilon`); it is counted
@@ -483,15 +305,17 @@ impl AuditReport {
             target_epsilon,
             delta: inputs.delta,
             trials: inputs.trials,
-            eps_from_ls: LocalSensitivityEstimator.eps(inputs),
-            eps_from_belief: MaxBeliefEstimator.eps(inputs),
-            eps_from_advantage: AdvantageEstimator.eps(inputs),
+            eps_from_ls: inputs.mean_eps_ls,
+            eps_from_belief: MaxBeliefEstimator::from_max_belief(inputs.max_belief),
+            eps_from_advantage: AdvantageEstimator::from_advantage(
+                inputs.advantage(),
+                inputs.delta,
+            ),
             advantage: inputs.advantage(),
             max_belief: inputs.max_belief,
             empirical_delta,
         }
     }
-
     /// The realised fraction of the claimed budget according to the
     /// transcript-exact estimator: 1.0 means tight, ≪ 1 means noise was
     /// oversized and utility wasted.
@@ -602,55 +426,49 @@ mod tests {
         LocalSensitivityEstimator::per_trial(&[1.0], &[1.0, 2.0], 1e-5, 1e-9);
     }
 
-    fn inputs(trials: usize, successes: usize, max_belief: f64) -> EstimatorInputs {
-        EstimatorInputs {
-            trials,
-            successes,
-            max_belief,
-            mean_eps_ls: 1.3,
-            delta: 1e-3,
-        }
+    /// Full-batch settings with the floor the series tests use.
+    fn settings() -> TrialSettings {
+        TrialSettings::builder()
+            .ls_floor(1e-9)
+            .build()
+            .expect("valid trial settings")
     }
 
     #[test]
-    fn estimate_carries_name_and_inputs() {
-        let inp = inputs(100, 80, 0.9);
-        for est in standard_estimators() {
-            let e = est.estimate(&inp);
-            assert_eq!(e.estimator, est.name());
-            assert_eq!(e.eps.to_bits(), est.eps(&inp).to_bits());
-            assert_eq!(e.inputs, inp);
-        }
-        let all = run_estimators(&standard_estimators(), &inp);
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0].estimator, "local-sensitivity");
-        assert!((all[0].eps - 1.3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn binomial_ci_is_more_conservative_than_the_point_estimate() {
-        // 80/100 correct: the point advantage estimator sees Adv′ = 0.6;
-        // the CI lower bound shrinks the certified success rate, so the
-        // logit bound stays below logit(0.8).
-        let inp = inputs(100, 80, 0.9);
-        let ci = BinomialCiEstimator::default().eps(&inp);
-        assert!(ci > 0.0);
-        assert!(ci < logit(0.8), "ci {ci} vs logit {}", logit(0.8));
-        // More trials at the same rate → tighter interval → larger bound.
-        let more = BinomialCiEstimator::default().eps(&inputs(10_000, 8_000, 0.9));
-        assert!(more > ci);
-        // A coin-flip adversary certifies nothing.
+    fn for_trial_follows_the_sampling_protocol() {
+        let trial = &fake_batch(0.8, true).trials[0];
+        let full = settings();
         assert_eq!(
-            BinomialCiEstimator::default().eps(&inputs(100, 50, 0.5)),
-            0.0
+            LocalSensitivityEstimator::for_trial(trial, &full, 1e-3).to_bits(),
+            LocalSensitivityEstimator::per_trial(
+                &trial.sigmas,
+                &trial.local_sensitivities,
+                1e-3,
+                1e-9
+            )
+            .to_bits()
+        );
+        let poisson = TrialSettings {
+            sampling: Sampling::Poisson { q: 0.5 },
+            ..full
+        };
+        assert_eq!(
+            LocalSensitivityEstimator::for_trial(trial, &poisson, 1e-3).to_bits(),
+            LocalSensitivityEstimator::per_trial_subsampled(
+                0.5,
+                poisson.dpsgd.noise_multiplier,
+                trial.sigmas.len(),
+                1e-3
+            )
+            .to_bits()
         );
     }
 
     #[test]
     fn from_inputs_matches_from_batch_bit_for_bit() {
         let batch = fake_batch(0.8, true);
-        let report = AuditReport::from_batch(&batch, 2.2, 1e-3, 1e-9);
-        let inputs = EstimatorInputs::from_batch(&batch, 1e-3, 1e-9);
+        let report = AuditReport::from_batch(&batch, 2.2, 1e-3, &settings());
+        let inputs = EstimatorInputs::from_batch(&batch, 1e-3, &settings());
         let routed = AuditReport::from_inputs(&inputs, 2.2, report.empirical_delta);
         assert_eq!(report.eps_from_ls.to_bits(), routed.eps_from_ls.to_bits());
         assert_eq!(
@@ -661,9 +479,9 @@ mod tests {
         assert_eq!(report.max_belief.to_bits(), routed.max_belief.to_bits());
     }
 
-    fn fake_batch(belief: f64, correct: bool) -> crate::experiment::DiBatchResult {
-        crate::experiment::DiBatchResult {
-            trials: vec![crate::experiment::DiTrialResult {
+    fn fake_batch(belief: f64, correct: bool) -> DiBatchResult {
+        DiBatchResult {
+            trials: vec![DiTrialResult {
                 b: true,
                 guess: correct,
                 correct,
@@ -680,7 +498,7 @@ mod tests {
     #[test]
     fn audit_report_fields_consistent() {
         let batch = fake_batch(0.8, true);
-        let report = AuditReport::from_batch(&batch, 2.2, 1e-3, 1e-9);
+        let report = AuditReport::from_batch(&batch, 2.2, 1e-3, &settings());
         assert_eq!(report.trials, 1);
         assert!((report.max_belief - 0.8).abs() < 1e-12);
         assert!((report.eps_from_belief - (0.8f64 / 0.2).ln()).abs() < 1e-9);
@@ -694,13 +512,13 @@ mod tests {
     fn audit_report_flags_exceedance() {
         // Belief 0.999 → eps' ≈ 6.9 ≫ target 2.2.
         let batch = fake_batch(0.999, true);
-        let report = AuditReport::from_batch(&batch, 2.2, 1e-3, 1e-9);
+        let report = AuditReport::from_batch(&batch, 2.2, 1e-3, &settings());
         assert!(report.exceeds_claim(0.1));
         assert!(report.empirical_delta > 0.0);
         // A modest belief does not trip the flag via the belief estimator,
         // but σ/ls = 10 over 5 steps still certifies some eps_from_ls; use a
         // generous claim so no estimator exceeds it.
-        let calm = AuditReport::from_batch(&fake_batch(0.6, false), 5.0, 1e-3, 1e-9);
+        let calm = AuditReport::from_batch(&fake_batch(0.6, false), 5.0, 1e-3, &settings());
         assert!(!calm.exceeds_claim(0.1));
     }
 
@@ -708,7 +526,7 @@ mod tests {
     fn audit_report_serialises() {
         // Use a non-saturating batch: advantage 1.0 would give an infinite
         // eps_from_advantage, which JSON cannot round-trip.
-        let report = AuditReport::from_batch(&fake_batch(0.7, false), 2.2, 1e-3, 1e-9);
+        let report = AuditReport::from_batch(&fake_batch(0.7, false), 2.2, 1e-3, &settings());
         let json = serde_json::to_string(&report).unwrap();
         let back: AuditReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.trials, report.trials);
@@ -718,7 +536,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty batch")]
     fn audit_report_rejects_empty_batch() {
-        let batch = crate::experiment::DiBatchResult { trials: vec![] };
-        AuditReport::from_batch(&batch, 2.2, 1e-3, 1e-9);
+        let batch = DiBatchResult { trials: vec![] };
+        AuditReport::from_batch(&batch, 2.2, 1e-3, &settings());
     }
 }

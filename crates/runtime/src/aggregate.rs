@@ -2,7 +2,8 @@
 //!
 //! [`StreamingAggregates`] folds trials as they complete — in O(1) memory
 //! per trial, no batch materialisation — and produces exactly the same
-//! [`AuditReport`] as `AuditReport::from_batch` over the full batch would.
+//! [`AuditReport`] as `AuditReport::from_batch` over the full batch would:
+//! both end in `AuditReport::from_inputs`.
 //!
 //! Bit-identity with the batch path (and across worker counts) requires the
 //! one order-sensitive fold, the ε′-from-LS *sum*, to run in trial-index
@@ -124,8 +125,8 @@ impl StreamingAggregates {
     }
 
     /// Produce the final report, identical to
-    /// `AuditReport::from_batch(&batch, target_epsilon, delta, ls_floor)`
-    /// over the same trials.
+    /// `AuditReport::from_batch(&batch, target_epsilon, delta, &settings)`
+    /// over the same trials run with the same settings.
     ///
     /// # Panics
     /// Panics when the batch is incomplete (missing indices).
@@ -148,29 +149,6 @@ impl StreamingAggregates {
             delta: self.delta,
         };
         AuditReport::from_inputs(&inputs, self.target_epsilon, self.exceeded as f64 / n)
-    }
-
-    /// The batch summary the estimators consume, for callers that want to
-    /// run non-standard estimators (e.g. `BinomialCiEstimator`) over a
-    /// finished stream.
-    ///
-    /// # Panics
-    /// Panics when the batch is incomplete.
-    pub fn inputs(&self) -> EstimatorInputs {
-        assert!(
-            self.is_complete(),
-            "StreamingAggregates: only {}/{} trials folded (missing index {})",
-            self.next,
-            self.reps,
-            self.next
-        );
-        EstimatorInputs {
-            trials: self.reps,
-            successes: self.correct,
-            max_belief: self.max_belief,
-            mean_eps_ls: self.eps_ls_sum / self.reps as f64,
-            delta: self.delta,
-        }
     }
 }
 

@@ -98,23 +98,7 @@ pub fn execute_trial(
     let trial_span = obs::span(obs::names::TRIAL_SPAN);
     let seed = trial_seed(plan.master_seed, idx);
     let trial = run_di_trial(pair, settings, test_set, model_builder, seed);
-    // Poisson-subsampled trials compose the subsampled Gaussian RDP steps
-    // (amplification by subsampling); the per-step σ/LS ledger applies only
-    // to the full-batch protocol.
-    let eps_ls = match settings.sampling {
-        dpaudit_core::Sampling::FullBatch => LocalSensitivityEstimator::per_trial(
-            &trial.sigmas,
-            &trial.local_sensitivities,
-            plan.delta,
-            settings.dpsgd.ls_floor,
-        ),
-        dpaudit_core::Sampling::Poisson { q } => LocalSensitivityEstimator::per_trial_subsampled(
-            q,
-            settings.dpsgd.noise_multiplier,
-            trial.sigmas.len(),
-            plan.delta,
-        ),
-    };
+    let eps_ls = LocalSensitivityEstimator::for_trial(&trial, settings, plan.delta);
     obs::counter(obs::names::TRIALS_EXECUTED, 1);
     drop(trial_span);
     TrialRecord {

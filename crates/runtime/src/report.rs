@@ -26,7 +26,8 @@ pub struct StoreReport {
 /// # Errors
 /// I/O errors, corrupt stores, or schema-version mismatches.
 pub fn replay_store(path: &Path) -> std::io::Result<StoreReport> {
-    let contents = read_store(path)?;
+    let mut contents = read_store(path)?;
+    contents.dedup_records();
     let header = contents.header.clone();
     let mut aggregates = StreamingAggregates::new(
         header.reps,
@@ -34,12 +35,8 @@ pub fn replay_store(path: &Path) -> std::io::Result<StoreReport> {
         header.delta,
         header.rho_beta_bound,
     );
-    let mut seen = vec![false; header.reps];
     for record in &contents.records {
-        if record.idx < header.reps && !seen[record.idx] {
-            seen[record.idx] = true;
-            aggregates.push(record.idx, TrialOutcome::from(record));
-        }
+        aggregates.push(record.idx, TrialOutcome::from(record));
     }
     let missing = contents.missing_indices();
     let report = if aggregates.is_complete() {
@@ -49,7 +46,7 @@ pub fn replay_store(path: &Path) -> std::io::Result<StoreReport> {
     };
     Ok(StoreReport {
         header,
-        completed: seen.iter().filter(|&&s| s).count(),
+        completed: contents.records.len(),
         missing,
         report,
     })

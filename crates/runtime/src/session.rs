@@ -98,9 +98,9 @@ impl AuditSession {
         })
     }
 
-    /// Resume from an existing store: validate the header, replay all
-    /// complete records, and cut off a crash-torn partial tail so appends
-    /// continue from a clean line boundary.
+    /// Resume from an existing store: validate the header, replay the
+    /// first complete record of each trial index, and cut off a crash-torn
+    /// partial tail so appends continue from a clean line boundary.
     ///
     /// # Errors
     /// I/O errors, corrupt stores, schema-version mismatches (a legacy
@@ -108,8 +108,9 @@ impl AuditSession {
     /// or a store recorded with a compute backend not compiled into this
     /// binary (the missing trials could not be executed bit-identically).
     pub fn resume(path: &Path) -> std::io::Result<Self> {
-        let contents = read_store(path)?;
+        let mut contents = read_store(path)?;
         check_backend(&contents.header)?;
+        contents.dedup_records();
         let store = TrialStore::open_append(path, contents.keep_bytes)?;
         Ok(AuditSession {
             header: contents.header,
@@ -128,9 +129,7 @@ impl AuditSession {
     pub fn missing_indices(&self) -> Vec<usize> {
         let mut have = vec![false; self.header.reps];
         for record in &self.existing {
-            if record.idx < self.header.reps {
-                have[record.idx] = true;
-            }
+            have[record.idx] = true;
         }
         (0..self.header.reps).filter(|&i| !have[i]).collect()
     }
@@ -251,7 +250,7 @@ mod tests {
     use super::*;
     use crate::store::{Seed, POISSON_SCHEMA_VERSION, SCHEMA_VERSION};
     use crate::testkit;
-    use dpaudit_core::{rho_beta, RecordDetail};
+    use dpaudit_core::{rho_beta, AdversaryKind, RecordDetail, Sampling};
 
     fn toy_header(reps: usize, detail: RecordDetail) -> StoreHeader {
         StoreHeader {
@@ -272,54 +271,102 @@ mod tests {
 
     #[test]
     fn in_memory_session_matches_batch_harness() {
+        // Under either sampling protocol the streaming session and the
+        // sampling-aware batch report agree bit for bit.
         let pair = testkit::toy_pair();
-        let header = toy_header(5, RecordDetail::Full);
-        let batch = dpaudit_core::run_di_trials(
-            &pair,
-            &header.settings,
-            None,
-            testkit::toy_model,
-            header.reps,
-            header.master_seed.0,
-        );
-        let expected = AuditReport::from_batch(
-            &batch,
-            header.target_epsilon,
-            header.delta,
-            header.settings.dpsgd.ls_floor,
-        );
-
-        let mut session = AuditSession::in_memory(header);
-        let mut records = Vec::new();
-        let outcome = session
-            .run(
+        for sampling in [Sampling::FullBatch, Sampling::Poisson { q: 0.5 }] {
+            let mut header = toy_header(5, RecordDetail::Full);
+            header.settings =
+                testkit::toy_settings_with(3, AdversaryKind::GaussianBelief, sampling);
+            let batch = dpaudit_core::run_di_trials(
                 &pair,
+                &header.settings,
                 None,
                 testkit::toy_model,
-                Parallelism::trials(2),
-                |_| {},
-                Some(&mut records),
-            )
-            .unwrap();
-        assert_eq!(outcome.executed, 5);
-        assert_eq!(outcome.replayed, 0);
-        assert_eq!(records.len(), 5);
+                header.reps,
+                header.master_seed.0,
+            );
+            let expected = AuditReport::from_batch(
+                &batch,
+                header.target_epsilon,
+                header.delta,
+                &header.settings,
+            );
+
+            let mut session = AuditSession::in_memory(header);
+            let mut records = Vec::new();
+            let outcome = session
+                .run(
+                    &pair,
+                    None,
+                    testkit::toy_model,
+                    Parallelism::trials(2),
+                    |_| {},
+                    Some(&mut records),
+                )
+                .unwrap();
+            assert_eq!(outcome.executed, 5);
+            assert_eq!(outcome.replayed, 0);
+            assert_eq!(records.len(), 5);
+            for (got, want) in [
+                (outcome.report.eps_from_ls, expected.eps_from_ls),
+                (outcome.report.advantage, expected.advantage),
+                (outcome.report.max_belief, expected.max_belief),
+                (outcome.report.empirical_delta, expected.empirical_delta),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits(), "{sampling:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn resume_hands_out_each_stored_trial_once() {
+        // A store may repeat a record line or hold an index outside the
+        // batch; resume replays the first record of each index in 0..reps.
+        let pair = testkit::toy_pair();
+        let dir = std::env::temp_dir().join(format!("dpaudit-dup-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dup-store.jsonl");
+        let run = |session: &mut AuditSession, records: &mut Vec<TrialRecord>| {
+            session
+                .run(
+                    &pair,
+                    None,
+                    testkit::toy_model,
+                    Parallelism::trials(1),
+                    |_| {},
+                    Some(records),
+                )
+                .unwrap()
+        };
+        let mut session =
+            AuditSession::create(&path, toy_header(3, RecordDetail::Summary)).unwrap();
+        let first = run(&mut session, &mut Vec::new());
+        drop(session);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let line = text.lines().nth(1).unwrap();
+        let mut stray: TrialRecord = serde_json::from_str(line).unwrap();
+        stray.idx = 7;
+        let stray = serde_json::to_string(&stray).unwrap();
+        std::fs::write(&path, format!("{text}{line}\n{stray}\n")).unwrap();
+
+        let mut resumed = AuditSession::resume(&path).unwrap();
+        assert!(resumed.missing_indices().is_empty());
+        let mut records = Vec::new();
+        let outcome = run(&mut resumed, &mut records);
+        assert_eq!((outcome.executed, outcome.replayed), (0, 3));
+        assert_eq!(
+            records.iter().map(|r| r.idx).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
         assert_eq!(
             outcome.report.eps_from_ls.to_bits(),
-            expected.eps_from_ls.to_bits()
+            first.report.eps_from_ls.to_bits()
         );
-        assert_eq!(
-            outcome.report.advantage.to_bits(),
-            expected.advantage.to_bits()
-        );
-        assert_eq!(
-            outcome.report.max_belief.to_bits(),
-            expected.max_belief.to_bits()
-        );
-        assert_eq!(
-            outcome.report.empirical_delta.to_bits(),
-            expected.empirical_delta.to_bits()
-        );
+        let replay = crate::report::replay_store(&path).unwrap();
+        assert_eq!(replay.completed, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -208,6 +208,16 @@ pub struct StoreContents {
 }
 
 impl StoreContents {
+    /// Keep only the first record of each trial index in `0..header.reps`,
+    /// in file order. A store may hold duplicates (see
+    /// [`Self::missing_indices`]) and out-of-range indices; consumers that
+    /// fold or hand out records must see each trial exactly once.
+    pub fn dedup_records(&mut self) {
+        let mut seen = vec![false; self.header.reps];
+        self.records
+            .retain(|r| r.idx < seen.len() && !std::mem::replace(&mut seen[r.idx], true));
+    }
+
     /// The trial indices in `0..header.reps` that have no record yet —
     /// exactly the work a resume must run. Sorted ascending; duplicates in
     /// the store are harmless (later records simply confirm earlier ones).

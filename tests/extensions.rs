@@ -179,7 +179,7 @@ fn audit_report_round_trips_through_json() {
         .build()
         .expect("valid trial settings");
     let batch = run_di_trials(&pair, &settings, None, purchase_mlp, 4, 9);
-    let report = AuditReport::from_batch(&batch, 2.2, 1e-2, settings.dpsgd.ls_floor);
+    let report = AuditReport::from_batch(&batch, 2.2, 1e-2, &settings);
     if report.eps_from_advantage.is_finite() {
         let json = serde_json::to_string(&report).unwrap();
         let back: AuditReport = serde_json::from_str(&json).unwrap();
