@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpaudit_bench::Workload;
-use dpaudit_dpsgd::{clip_loop_mode, ClippingStrategy, ComputeMode};
+use dpaudit_dpsgd::{ClipContext, ClippingStrategy, ComputeMode};
 use dpaudit_math::{axpy, seeded_rng};
 use dpaudit_nn::Sequential;
 use dpaudit_tensor::{Backend, Tensor};
@@ -45,33 +45,31 @@ fn bench_batched_step(c: &mut Criterion) {
     let (model, xs, ys) = setup();
     let clipping = ClippingStrategy::Flat(3.0);
     let layout = model.param_layout();
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build()
-        .expect("thread pool construction cannot fail");
+    let context = |pool| ClipContext {
+        compute: ComputeMode::F64,
+        backend: Backend::native(),
+        pool,
+    };
+    let (batched, parallel) = (
+        context(None),
+        context(Some(
+            ThreadPoolBuilder::new()
+                .num_threads(0)
+                .build()
+                .expect("thread pool construction cannot fail"),
+        )),
+    );
 
     let mut g = c.benchmark_group("batched_step");
     g.sample_size(10);
     g.bench_function(format!("scalar_{TRAIN}"), |b| {
         b.iter(|| black_box(scalar_step(&model, &xs, &ys, &clipping, &layout)))
     });
-    let clip_loop = |pool| {
-        clip_loop_mode(
-            &model,
-            &xs,
-            &ys,
-            &clipping,
-            &layout,
-            pool,
-            ComputeMode::F64,
-            Backend::native(),
-        )
-    };
     g.bench_function(format!("batched_{TRAIN}"), |b| {
-        b.iter(|| black_box(clip_loop(None)))
+        b.iter(|| black_box(batched.clip_loop(&model, &xs, &ys, &clipping)))
     });
     g.bench_function(format!("parallel_{TRAIN}"), |b| {
-        b.iter(|| black_box(clip_loop(Some(&pool))))
+        b.iter(|| black_box(parallel.clip_loop(&model, &xs, &ys, &clipping)))
     });
     g.finish();
 }

@@ -15,7 +15,7 @@
 //! here is pure speed.
 
 use dpaudit_bench::Workload;
-use dpaudit_dpsgd::{clip_loop_mode, ClippingStrategy, ComputeMode};
+use dpaudit_dpsgd::{ClipContext, ClippingStrategy, ComputeMode};
 use dpaudit_math::{axpy, seeded_rng};
 use dpaudit_nn::Sequential;
 use dpaudit_tensor::{kernel_backend, set_force_scalar, Backend, Tensor};
@@ -68,7 +68,7 @@ fn worst_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
+fn measure(workload: Workload) -> serde_json::Value {
     let world = workload.world(3, TRAIN);
     let mut rng = seeded_rng(5);
     let mut model = workload.build_model(&mut rng);
@@ -77,23 +77,43 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
     let clipping = ClippingStrategy::Flat(3.0);
     let layout = model.param_layout();
 
-    let batched = |compute, pool, backend| {
-        clip_loop_mode(&model, xs, ys, &clipping, &layout, pool, compute, backend).clean_sum
+    let batched = |compute, backend| {
+        ClipContext {
+            compute,
+            backend,
+            pool: None,
+        }
+        .clip_loop(&model, xs, ys, &clipping)
+        .clean_sum
     };
     let native = Backend::native();
+    let parallel_context = ClipContext {
+        compute: ComputeMode::F64,
+        backend: native,
+        pool: Some(
+            ThreadPoolBuilder::new()
+                .num_threads(0)
+                .build()
+                .expect("thread pool construction cannot fail"),
+        ),
+    };
 
     // Scalar tiles pinned: the per-example oracle and the PR-5 baseline.
     set_force_scalar(true);
     let (per_example, oracle_sum) =
         throughput(|| per_example_step(&model, xs, ys, &clipping, &layout));
-    let (f64_scalar, f64_scalar_sum) = throughput(|| batched(ComputeMode::F64, None, native));
-    let (f32_scalar, f32_scalar_sum) = throughput(|| batched(ComputeMode::F32, None, native));
+    let (f64_scalar, f64_scalar_sum) = throughput(|| batched(ComputeMode::F64, native));
+    let (f32_scalar, f32_scalar_sum) = throughput(|| batched(ComputeMode::F32, native));
 
     // SIMD dispatch restored: the variants this PR adds.
     set_force_scalar(false);
-    let (f64_simd, f64_simd_sum) = throughput(|| batched(ComputeMode::F64, None, native));
-    let (f32_simd, f32_simd_sum) = throughput(|| batched(ComputeMode::F32, None, native));
-    let (parallel, parallel_sum) = throughput(|| batched(ComputeMode::F64, Some(pool), native));
+    let (f64_simd, f64_simd_sum) = throughput(|| batched(ComputeMode::F64, native));
+    let (f32_simd, f32_simd_sum) = throughput(|| batched(ComputeMode::F32, native));
+    let (parallel, parallel_sum) = throughput(|| {
+        parallel_context
+            .clip_loop(&model, xs, ys, &clipping)
+            .clean_sum
+    });
 
     // Non-native gemm backends compiled into this binary (e.g. a blas
     // build): one f64 and one f32 row each, tolerance-checked against the
@@ -103,8 +123,8 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
         if backend == native {
             continue;
         }
-        let (f64_rate, f64_sum) = throughput(|| batched(ComputeMode::F64, None, backend));
-        let (f32_rate, f32_sum) = throughput(|| batched(ComputeMode::F32, None, backend));
+        let (f64_rate, f64_sum) = throughput(|| batched(ComputeMode::F64, backend));
+        let (f32_rate, f32_sum) = throughput(|| batched(ComputeMode::F32, backend));
         backend_rows.push((format!("batched_f64_{}", backend.name()), f64_rate, f64_sum));
         backend_rows.push((format!("batched_f32_{}", backend.name()), f32_rate, f32_sum));
     }
@@ -186,13 +206,9 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build()
-        .expect("thread pool construction cannot fail");
     let runs: Vec<serde_json::Value> = [Workload::Mnist, Workload::Purchase]
         .into_iter()
-        .map(|w| measure(w, &pool))
+        .map(measure)
         .collect();
     let gemm_backends: Vec<serde_json::Value> = Backend::compiled()
         .into_iter()

@@ -500,7 +500,10 @@ pub fn run_di_trial(
     let guess = adversary.decide_d();
     let belief_d = adversary.score_d();
     let belief_trained = if b { belief_d } else { 1.0 - belief_d };
-    let test_accuracy = test_set.map(|t| model.accuracy(&t.xs, &t.ys));
+    let test_accuracy = test_set.map(|t| {
+        let _eval_span = obs::span(obs::names::TEST_ACCURACY_SPAN);
+        model.accuracy(&t.xs, &t.ys)
+    });
 
     if obs::enabled() {
         // Per-step score in the *trained* dataset. For the Bayesian

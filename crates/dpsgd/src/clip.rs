@@ -1,7 +1,7 @@
 //! Per-example gradient clipping: flat, per-layer, and adaptive.
 
 use dpaudit_math::l2_norm;
-use dpaudit_nn::Sequential;
+use dpaudit_nn::{RowClip, Sequential};
 use dpaudit_tensor::{Backend, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +78,16 @@ impl ClippingStrategy {
                 );
                 cs.iter().map(|c| c * c).sum::<f64>().sqrt()
             }
+        }
+    }
+
+    /// The same clipping for the fused clip-and-sum pass
+    /// ([`Sequential::clip_sum_on`]), whose segments are the model's
+    /// parameterised layers.
+    pub fn row_clip(&self) -> RowClip<'_> {
+        match self {
+            ClippingStrategy::Flat(c) => RowClip::Flat(*c),
+            ClippingStrategy::PerLayer(cs) => RowClip::PerLayer(cs),
         }
     }
 

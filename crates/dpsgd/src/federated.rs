@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::clip::ClippingStrategy;
 use crate::config::ComputeMode;
-use crate::exec::{batch_pool, clip_loop_mode};
+use crate::exec::ClipContext;
 
 /// Configuration of a federated DPSGD run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -127,12 +127,11 @@ pub fn train_federated<R: Rng + ?Sized>(
     let total_records: usize = clients.iter().map(Dataset::len).sum();
     assert!(total_records > 0, "train_federated: all shards are empty");
     let dim = model.param_count();
-    let layout = model.param_layout();
     let bound = cfg.clipping.total_bound();
     let sigma = cfg.noise_multiplier * bound;
     let mut gauss = GaussianSampler::new();
     let mut accountant = RdpAccountant::new();
-    let pool = batch_pool();
+    let clip_context = ClipContext::new(ComputeMode::F64, Backend::native());
 
     // Union view for the (simulated) normalisation-statistics refresh.
     let union: Vec<_> = clients.iter().flat_map(|c| c.xs.iter().cloned()).collect();
@@ -146,16 +145,7 @@ pub fn train_federated<R: Rng + ?Sized>(
         let mut clean_total = vec![0.0; dim];
         let mut loss_total = 0.0;
         for shard in clients {
-            let clipped = clip_loop_mode(
-                model,
-                &shard.xs,
-                &shard.ys,
-                &cfg.clipping,
-                &layout,
-                pool.as_ref(),
-                ComputeMode::F64,
-                Backend::native(),
-            );
+            let clipped = clip_context.clip_loop(model, &shard.xs, &shard.ys, &cfg.clipping);
             loss_total += clipped.loss_total;
             axpy(1.0, &clipped.clean_sum, &mut clean_total);
             if cfg.retain_client_sums {

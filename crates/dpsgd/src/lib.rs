@@ -38,7 +38,7 @@ pub use clip::{clip_to_norm, clipped_gradient, AdaptiveClipConfig, ClippingStrat
 pub use config::{BackendChoice, ComputeMode, DpsgdConfig, SensitivityScaling};
 pub use exec::{
     batch_pool, batch_threads, clip_loop_mode, effective_batch_threads, set_batch_threads,
-    ClipLoopOutput, CLIP_CHUNK,
+    ClipContext, ClipLoopOutput, CLIP_CHUNK,
 };
 pub use federated::{train_federated, FederatedConfig, FederatedOutcome, RoundRecord};
 pub use minibatch::{train_minibatch_dpsgd, MinibatchConfig, MinibatchOutcome};

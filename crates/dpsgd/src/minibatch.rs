@@ -6,9 +6,10 @@
 //! accountant of `dpaudit-dp` tracks (`add_subsampled_gaussian_step`). This
 //! module provides that trainer: per step every record enters the batch
 //! independently with probability `q`, per-example gradients are clipped and
-//! summed by the batched clip loop ([`crate::exec::clip_loop_mode`], f64 on
-//! the native backend), Gaussian noise scaled to the clip bound is added, and
-//! the update divides by the expected batch size `q·n`.
+//! summed by the batched clip loop
+//! ([`crate::exec::ClipContext::clip_loop`], f64 on the native backend),
+//! Gaussian noise scaled to the clip bound is added, and the update divides
+//! by the expected batch size `q·n`.
 
 use dpaudit_datasets::Dataset;
 use dpaudit_dp::RdpAccountant;
@@ -21,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::clip::ClippingStrategy;
 use crate::config::ComputeMode;
-use crate::exec::{batch_pool, clip_loop_mode};
+use crate::exec::ClipContext;
 use crate::trainer::poisson_batch;
 
 /// Configuration of a mini-batch DPSGD run.
@@ -109,7 +110,6 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> MinibatchOutcome {
     assert!(!data.is_empty(), "train_minibatch_dpsgd: empty dataset");
-    let layout = model.param_layout();
     let bound = cfg.clipping.total_bound();
     let sigma = cfg.noise_multiplier * bound;
     let expected_batch = (cfg.sampling_rate * data.len() as f64).max(1.0);
@@ -118,7 +118,7 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     let mut batch_sizes = Vec::with_capacity(cfg.steps);
     let mut losses = Vec::with_capacity(cfg.steps);
     let mut last_loss = 0.0;
-    let pool = batch_pool();
+    let clip_context = ClipContext::new(ComputeMode::F64, Backend::native());
 
     for _ in 0..cfg.steps {
         let (batch_xs, batch_ys) = poisson_batch(data, cfg.sampling_rate, rng);
@@ -128,16 +128,7 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
         model.update_norm_stats(&batch_xs);
         drop(norm_stats_span);
 
-        let clipped = clip_loop_mode(
-            model,
-            &batch_xs,
-            &batch_ys,
-            &cfg.clipping,
-            &layout,
-            pool.as_ref(),
-            ComputeMode::F64,
-            Backend::native(),
-        );
+        let clipped = clip_context.clip_loop(model, &batch_xs, &batch_ys, &cfg.clipping);
         if !batch_xs.is_empty() {
             last_loss = clipped.loss_total / batch_xs.len() as f64;
         }

@@ -12,7 +12,7 @@ use rand::Rng;
 
 use crate::clip::ClippingStrategy;
 use crate::config::DpsgdConfig;
-use crate::exec::{batch_pool, clip_loop_mode};
+use crate::exec::ClipContext;
 use crate::optimizer::OptimizerState;
 use crate::pair::NeighborPair;
 use crate::transcript::{StepRecord, Transcript};
@@ -142,9 +142,6 @@ fn train_steps<R: Rng + ?Sized, S: Rng + ?Sized>(
     let dim = model.param_count();
     let layout = model.param_layout();
     let mut gauss = GaussianSampler::new();
-    // Intra-trial parallelism for the clip loop (see `exec`): one pool per
-    // training run, `None` when the knob says sequential.
-    let pool = batch_pool();
     // Resolve the compute backend once per training run; every gemm below
     // (clip loop and differing-record gradients) routes through this handle.
     // Callers are expected to have validated availability at session setup,
@@ -153,6 +150,9 @@ fn train_steps<R: Rng + ?Sized, S: Rng + ?Sized>(
         .backend
         .resolve()
         .unwrap_or_else(|e| panic!("train_dpsgd: {e}"));
+    // The clip loop's compute mode, backend and intra-trial pool (see
+    // `exec`), resolved once per training run.
+    let clip_context = ClipContext::new(cfg.compute, backend);
 
     // The clipping strategy in force; adaptive clipping mutates the flat
     // norm between steps.
@@ -175,16 +175,7 @@ fn train_steps<R: Rng + ?Sized, S: Rng + ?Sized>(
         let bound = clipping.total_bound();
 
         let clip_span = obs::span(obs::names::CLIP_SPAN);
-        let clipped = clip_loop_mode(
-            model,
-            &xs,
-            &ys,
-            &clipping,
-            &layout,
-            pool.as_ref(),
-            cfg.compute,
-            backend,
-        );
+        let clipped = clip_context.clip_loop(model, &xs, &ys, &clipping);
         let (clean_sum, loss_total, unclipped) =
             (clipped.clean_sum, clipped.loss_total, clipped.unclipped);
         drop(clip_span);

@@ -14,8 +14,9 @@
 //! Backward is split in two: the `*_backward_input` helpers propagate the
 //! whole batch's deltas (the `d_in` gemms), and the `*_backward` helpers
 //! write one example's parameter gradient over its segment of a gradient
-//! row — the per-example row visitor calls them one example at a time,
-//! into one reused row.
+//! row — the `[B, P]` collector calls them for every row, the fused clip
+//! pass for the conv and batch-norm segments only (it recomputes dense
+//! values on the fly).
 
 use dpaudit_tensor::{
     conv2d_backward_input_into, conv2d_backward_params_on, conv2d_forward_gemm_on, im2col_into,

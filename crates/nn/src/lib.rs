@@ -21,26 +21,28 @@
 //! example-at-a-time arithmetic bit for bit. The model is generic over its
 //! parameter precision ([`dpaudit_tensor::Elem`], `f64` by default): the
 //! f32 storage mode is the same [`Sequential`] with its parameters narrowed
-//! once ([`Sequential::cast`]), running the same batched layers. Per-example
-//! gradients come from one row visitor
-//! ([`Sequential::visit_example_grads_on`]) serving both precisions: a
-//! batched forward and delta pass, then one example's flat gradient row at
-//! a time, written into a single reused buffer and handed to a callback —
-//! the DPSGD clip loop clips and sums each row as it arrives, and the
-//! `[B, P]` collector ([`Sequential::per_example_grads_on`]) is a thin
-//! wrapper over it. The refresh works over fixed-size chunks of stacked
-//! examples, skips models without batch norm and stops at the last
-//! batch-norm layer. The f64 scalar path ([`Layer::forward`],
+//! once ([`Sequential::cast`]), running the same batched layers. One
+//! private forward, f64 loss head and delta pass serves both consumers of
+//! per-example gradients, at both precisions: the `[B, P]` collector
+//! ([`Sequential::per_example_grads_on`]), which writes every example's
+//! flat gradient row, and the fused clip-and-sum pass of the DPSGD clip
+//! loop ([`Sequential::clip_sum_on`], module [`clip_sum`]), which computes
+//! every example's norm and adds its clipped gradient into a sum without
+//! writing any row, with the same bits. The refresh works over fixed-size
+//! chunks of stacked examples, skips models without batch norm and stops
+//! at the last batch-norm layer. The f64 scalar path ([`Layer::forward`],
 //! [`Sequential::per_example_grad_scalar`]) is kept as the property-test
 //! oracle.
 
 pub(crate) mod batched;
+pub mod clip_sum;
 pub mod init;
 pub mod layers;
 pub mod loss;
 pub mod model;
 pub mod zoo;
 
+pub use clip_sum::RowClip;
 pub use init::glorot_uniform;
 pub use layers::{BatchCache, BatchNorm2d, Cache, Conv2d, Dense, Layer, MaxPool2d};
 pub use loss::{cross_entropy_loss, softmax, softmax_cross_entropy};

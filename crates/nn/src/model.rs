@@ -84,48 +84,31 @@ impl<E: Elem> Sequential<E> {
         (h, caches)
     }
 
-    /// Stream the per-example losses and flat parameter gradients of a
-    /// labelled batch through `visit`, one example at a time, in example
-    /// order — at the model's precision `E`.
+    /// The batched forward pass, f64 loss head and delta pass of one
+    /// labelled batch, at the model's precision `E` — the part of every
+    /// per-example gradient computation that runs once per batch.
     ///
     /// The f64 inputs are stacked and converted to `E`; one batched forward
     /// pass and one batched backward delta pass (the input-gradient gemms)
-    /// run for the whole batch; then each example's `[dW | db | …]` row is
-    /// written into `row` — a caller-owned, [`Sequential::param_count`]-long
-    /// buffer reused for every example — and handed to `visit` as
-    /// `(loss, row)`. `visit` may modify the row (the DPSGD clip loop scales
-    /// it in place); the next example overwrites it. No `[B, param_count]`
-    /// gradient block is ever materialised. The loss head runs in f64: each
-    /// logit row is widened ([`Elem::to_f64`]) into the softmax
-    /// cross-entropy, and its gradient converted back to `E`.
-    ///
-    /// At f64 each row is bit-identical to
-    /// [`Sequential::per_example_grad_scalar`] on that example: the batched
-    /// layers replicate the scalar accumulation order exactly. At any
-    /// precision each row is independent of its batch-mates. Other backends
-    /// than [`Backend::native`] are tolerance-equivalent only.
+    /// run for the whole batch. The loss head runs in f64: each logit row is
+    /// widened ([`Elem::to_f64`]) into the softmax cross-entropy, and its
+    /// gradient converted back to `E`. Deltas stop at the first
+    /// parameterised layer — the gradient of the input itself is never
+    /// needed.
     ///
     /// # Panics
-    /// Panics on an empty batch, a length mismatch, or a `row` that is not
-    /// [`Sequential::param_count`] long.
-    pub fn visit_example_grads_on(
+    /// Panics on an empty batch or a length mismatch.
+    pub(crate) fn batch_deltas_on(
         &self,
         backend: Backend,
         xs: &[Tensor],
         labels: &[usize],
-        row: &mut [E],
-        mut visit: impl FnMut(f64, &mut [E]),
-    ) {
-        assert!(!xs.is_empty(), "visit_example_grads_on: empty batch");
+    ) -> BatchDeltas<E> {
+        assert!(!xs.is_empty(), "per-example gradients: empty batch");
         assert_eq!(
             xs.len(),
             labels.len(),
-            "visit_example_grads_on: length mismatch"
-        );
-        assert_eq!(
-            row.len(),
-            self.param_count(),
-            "visit_example_grads_on: row buffer must hold one gradient"
+            "per-example gradients: length mismatch"
         );
         let (logits, caches) = self.forward_batch_cached_on(backend, &Tensor::stack(xs).cast());
         let classes = logits.shape()[1];
@@ -142,9 +125,6 @@ impl<E: Elem> Sequential<E> {
         }
         let d_logits = Tensor::from_vec(&[xs.len(), classes], d_logits);
 
-        // Delta pass: the output gradient of every parameterised layer, for
-        // the whole batch. Deltas stop at the first parameterised layer —
-        // the gradient of the input itself is never needed.
         let mut deltas: Vec<Option<Tensor<E>>> = vec![None; self.layers.len()];
         if let Some(first) = self.layers.iter().position(|l| l.param_count() > 0) {
             let mut d = d_logits;
@@ -161,39 +141,54 @@ impl<E: Elem> Sequential<E> {
                 }
             }
         }
-        let segments = param_segments(self.layers.iter().map(Layer::param_count));
-
-        for (ex, &loss) in losses.iter().enumerate() {
-            for (((layer, cache), delta), segment) in
-                self.layers.iter().zip(&caches).zip(&deltas).zip(&segments)
-            {
-                if let Some(delta) = delta {
-                    let grad = &mut row[segment.clone()];
-                    layer.write_param_grad_on(backend, delta, cache, ex, grad);
-                }
-            }
-            visit(loss, row);
+        BatchDeltas {
+            losses,
+            caches,
+            deltas,
         }
     }
 
-    /// Losses and per-example flat parameter gradients for a labelled batch:
-    /// a collector over [`Sequential::visit_example_grads_on`], returning the
-    /// per-example losses and a `[B, param_count]` gradient tensor.
+    /// Losses and per-example flat parameter gradients for a labelled batch,
+    /// at the model's precision `E`: the per-example losses and a
+    /// `[B, param_count]` gradient tensor whose row `b` is example `b`'s
+    /// `[dW | db | …]` in flat parameter order.
+    ///
+    /// One batched forward, loss and delta pass runs for the whole batch;
+    /// then each example's row is written layer by layer. At f64 each row is
+    /// bit-identical to [`Sequential::per_example_grad_scalar`] on that
+    /// example: the batched layers replicate the scalar accumulation order
+    /// exactly. At any precision each row is independent of its batch-mates.
+    /// Other backends than [`Backend::native`] are tolerance-equivalent only.
+    /// The DPSGD clip loop does not materialise these rows; it runs the
+    /// fused pass ([`Sequential::clip_sum_on`]) on the same forward, loss and
+    /// delta pass.
+    ///
+    /// # Panics
+    /// Panics on an empty batch or a length mismatch.
     pub fn per_example_grads_on(
         &self,
         backend: Backend,
         xs: &[Tensor],
         labels: &[usize],
     ) -> (Vec<f64>, Tensor<E>) {
+        let pass = self.batch_deltas_on(backend, xs, labels);
         let dim = self.param_count();
-        let mut losses = Vec::with_capacity(xs.len());
-        let mut grads = Vec::with_capacity(xs.len() * dim);
-        let mut row = vec![E::ZERO; dim];
-        self.visit_example_grads_on(backend, xs, labels, &mut row, |loss, row| {
-            losses.push(loss);
-            grads.extend_from_slice(row);
-        });
-        (losses, Tensor::from_vec(&[xs.len(), dim], grads))
+        let segments = param_segments(self.layers.iter().map(Layer::param_count));
+        let mut grads = vec![E::ZERO; xs.len() * dim];
+        for (ex, row) in grads.chunks_exact_mut(dim).enumerate() {
+            for (((layer, cache), delta), segment) in self
+                .layers
+                .iter()
+                .zip(&pass.caches)
+                .zip(&pass.deltas)
+                .zip(&segments)
+            {
+                if let Some(delta) = delta {
+                    layer.write_param_grad_on(backend, delta, cache, ex, &mut row[segment.clone()]);
+                }
+            }
+        }
+        (pass.losses, Tensor::from_vec(&[xs.len(), dim], grads))
     }
 
     /// Loss and flat parameter gradient for a single labelled example —
@@ -417,6 +412,17 @@ impl Sequential {
             }
         }
     }
+}
+
+/// What [`Sequential::batch_deltas_on`] leaves for the per-example
+/// parameter-gradient writes of one batch.
+pub(crate) struct BatchDeltas<E> {
+    /// Per-example losses, in example order.
+    pub(crate) losses: Vec<f64>,
+    /// Every layer's forward cache.
+    pub(crate) caches: Vec<BatchCache<E>>,
+    /// The output gradient of every parameterised layer (`None` elsewhere).
+    pub(crate) deltas: Vec<Option<Tensor<E>>>,
 }
 
 /// Every layer's segment of the flat parameter vector, from the layers'

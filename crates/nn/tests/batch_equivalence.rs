@@ -1,10 +1,10 @@
 //! Property tests: the batched pipeline is bit-identical to the scalar
 //! example-at-a-time oracle, over random shapes and batch sizes.
 //!
-//! The row visitor (`visit_example_grads_on`) and its `per_example_grads_on`
-//! collector promise that at f64 the row of example `b` carries the exact
-//! bits `per_example_grad_scalar` would produce for it — the invariant the
-//! DPSGD clip loop's determinism rests on. The batched
+//! `per_example_grads_on` promises that at f64 the row of example `b` carries
+//! the exact bits `per_example_grad_scalar` would produce for it — the
+//! invariant the DPSGD clip loop's determinism rests on (its fused
+//! clip-and-sum pass is pinned against these rows in `dpaudit-dpsgd`). The batched
 //! norm-stats refresh and batched inference (`mean_loss`, `accuracy`) are
 //! pinned the same way against the scalar formulas below. The same model
 //! narrowed to f32 (`Sequential::cast`) has no scalar oracle: its rows are
@@ -199,37 +199,36 @@ fn assert_inference_matches_scalar(
 const REFRESH_SIZES: [usize; 5] = [1, 15, 16, 17, 100];
 
 /// Batch sizes around the clip loop's 16-example chunk.
-const VISITOR_SIZES: [usize; 4] = [1, 15, 16, 17];
+const CHUNK_SIZES: [usize; 4] = [1, 15, 16, 17];
 
-/// Stream `xs` through the f64 row visitor into `row` (dirty from earlier
-/// calls) and check every visited `(loss, row)` against the scalar oracle,
-/// bit for bit and in example order.
-fn assert_visitor_matches_scalar(model: &Sequential, xs: &[Tensor], ys: &[usize], row: &mut [f64]) {
-    let mut visited = 0;
-    model.visit_example_grads_on(Backend::native(), xs, ys, row, |loss, row| {
-        let (expect_loss, expect) = model.per_example_grad_scalar(&xs[visited], ys[visited]);
+/// Check every row of the f64 collector against the scalar oracle, bit for
+/// bit and in example order.
+fn assert_rows_match_scalar(model: &Sequential, xs: &[Tensor], ys: &[usize]) {
+    let (losses, grads) = model.per_example_grads_on(Backend::native(), xs, ys);
+    assert_eq!(losses.len(), xs.len());
+    for (ex, (loss, row)) in losses
+        .iter()
+        .zip(grads.data().chunks_exact(model.param_count()))
+        .enumerate()
+    {
+        let (expect_loss, expect) = model.per_example_grad_scalar(&xs[ex], ys[ex]);
         assert_eq!(
             loss.to_bits(),
             expect_loss.to_bits(),
-            "loss of example {visited}"
+            "loss of example {ex}"
         );
         for (j, (a, e)) in row.iter().zip(&expect).enumerate() {
             assert_eq!(
                 a.to_bits(),
                 e.to_bits(),
-                "example {visited} grad[{j}]: {a} vs {e}"
+                "example {ex} grad[{j}]: {a} vs {e}"
             );
         }
-        // Scribble over the row, as the clip loop's in-place scaling does:
-        // the next example must not see any of it.
-        row.iter_mut().for_each(|v| *v = f64::NAN);
-        visited += 1;
-    });
-    assert_eq!(visited, xs.len());
+    }
 }
 
 #[test]
-fn row_visitor_matches_scalar_oracle_bitwise() {
+fn per_example_rows_match_scalar_oracle_bitwise() {
     let mut tiny = cnn(5);
     tiny.update_norm_stats(&inputs(6, 8, &[1, 8, 8]));
     let mut mnist = mnist_cnn(&mut seeded_rng(7));
@@ -245,22 +244,18 @@ fn row_visitor_matches_scalar_oracle_bitwise() {
             Some(Layer::Dense(d)) => d.bias.len(),
             _ => unreachable!("every reference model ends in a dense layer"),
         };
-        // One row buffer for every call: reuse across calls is part of the
-        // contract.
-        let mut row = vec![0.0; model.param_count()];
-        for (k, examples) in VISITOR_SIZES.into_iter().enumerate() {
+        for (k, examples) in CHUNK_SIZES.into_iter().enumerate() {
             let xs = inputs(100 + k as u64, examples, shape);
             let ys: Vec<usize> = (0..examples).map(|i| (i * 7 + k) % classes).collect();
-            assert_visitor_matches_scalar(model, &xs, &ys, &mut row);
+            assert_rows_match_scalar(model, &xs, &ys);
         }
     }
 }
 
 #[test]
-fn f32_row_visitor_rows_match_single_example_runs_bitwise() {
-    // No scalar oracle exists at f32; the row visitor must instead be
-    // batch-independent: each streamed row equals the B = 1 run on its
-    // example, with one row buffer reused across calls.
+fn f32_rows_match_single_example_runs_bitwise() {
+    // No scalar oracle exists at f32; the rows must instead be
+    // batch-independent: each row equals the B = 1 run on its example.
     let mut mnist = mnist_cnn(&mut seeded_rng(11));
     mnist.update_norm_stats(&inputs(12, 8, &[1, 28, 28]));
     // (model, input shape, batch sizes, classes)
@@ -269,32 +264,31 @@ fn f32_row_visitor_rows_match_single_example_runs_bitwise() {
         (cnn(9).cast(), &[1, 8, 8], &[3], 3),
     ];
     for (model, shape, sizes, classes) in cases {
-        let mut row = vec![0.0f32; model.param_count()];
         for (k, &examples) in sizes.iter().enumerate() {
             let xs = inputs(200 + k as u64, examples, shape);
             let ys: Vec<usize> = (0..examples).map(|i| (i + k) % classes).collect();
-            let mut visited = 0;
-            model.visit_example_grads_on(Backend::native(), &xs, &ys, &mut row, |loss, row| {
+            let (losses, grads) = model.per_example_grads_on(Backend::native(), &xs, &ys);
+            for (ex, (loss, row)) in losses
+                .iter()
+                .zip(grads.data().chunks_exact(model.param_count()))
+                .enumerate()
+            {
                 let (solo_loss, solo) =
-                    model.per_example_grad_on(Backend::native(), &xs[visited], ys[visited]);
+                    model.per_example_grad_on(Backend::native(), &xs[ex], ys[ex]);
                 assert_eq!(loss.to_bits(), solo_loss.to_bits());
                 for (j, (a, e)) in row.iter().zip(&solo).enumerate() {
-                    assert_eq!(a.to_bits(), e.to_bits(), "example {visited} grad[{j}]");
+                    assert_eq!(a.to_bits(), e.to_bits(), "example {ex} grad[{j}]");
                 }
-                row.iter_mut().for_each(|v| *v = f32::NAN);
-                visited += 1;
-            });
-            assert_eq!(visited, examples);
+            }
         }
     }
 }
 
 #[test]
 #[should_panic(expected = "empty batch")]
-fn row_visitor_refuses_an_empty_batch() {
+fn per_example_grads_refuse_an_empty_batch() {
     let model = mlp(1, 4, 3, 2);
-    let mut row = vec![0.0; model.param_count()];
-    model.visit_example_grads_on(Backend::native(), &[], &[], &mut row, |_, _| {});
+    model.per_example_grads_on(Backend::native(), &[], &[]);
 }
 
 /// The f32 pipeline must agree with the f64 oracle within a tolerance band

@@ -119,6 +119,13 @@ pub mod names {
     pub const UPDATE_SPAN: &str = "dpsgd.update";
     /// Span: posterior belief update over one released gradient.
     pub const BELIEF_SPAN: &str = "adversary.belief_update";
+    /// Span: the trained model's accuracy on the test set at the end of a
+    /// trial (`Sequential::accuracy`), when the trial has a test set.
+    pub const TEST_ACCURACY_SPAN: &str = "eval.test_accuracy";
+    /// Span: appending one finished trial's record to the durable store
+    /// (`TrialStore::append` in `AuditSession::run`), on the coordinating
+    /// thread.
+    pub const STORE_APPEND_SPAN: &str = "store.append";
 
     /// Counter: trials executed by the engine (excludes store replays).
     pub const TRIALS_EXECUTED: &str = "executor.trials_executed";

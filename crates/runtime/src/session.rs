@@ -209,6 +209,7 @@ impl AuditSession {
         let mut record_sink = FnSink(|record: crate::store::TrialRecord| {
             if io_error.is_none() {
                 if let Some(store) = store.as_mut() {
+                    let _append_span = obs::span(obs::names::STORE_APPEND_SPAN);
                     if let Err(e) = store.append(&record) {
                         io_error = Some(e);
                     }

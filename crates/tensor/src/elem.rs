@@ -31,6 +31,14 @@ pub trait Elem:
     const ZERO: Self;
     /// Negative infinity — the seed of max-reductions (pooling).
     const NEG_INFINITY: Self;
+    /// Partial-sum lanes of a per-example gradient norm at this precision:
+    /// position `i` of a row adds its widened square into lane `i mod L`,
+    /// except the last `len mod L` positions, which share one serial tail;
+    /// the norm is `√(Σ lanes + tail)`. `1` for f64 (one serial chain in
+    /// flat order, exactly `Σ g²`), `8` for f32 (one serial chain is the
+    /// latency bottleneck of the widened norm at ~10⁵ parameters). A
+    /// constant of the algorithm, never of the hardware or thread count.
+    const NORM_LANES: usize;
 
     /// Lossy conversion from `f64` (rounds to nearest for `f32`).
     fn from_f64(v: f64) -> Self;
@@ -62,6 +70,7 @@ pub trait Elem:
 impl Elem for f64 {
     const ZERO: Self = 0.0;
     const NEG_INFINITY: Self = f64::NEG_INFINITY;
+    const NORM_LANES: usize = 1;
 
     #[inline]
     fn from_f64(v: f64) -> Self {
@@ -103,6 +112,7 @@ impl Elem for f64 {
 impl Elem for f32 {
     const ZERO: Self = 0.0;
     const NEG_INFINITY: Self = f32::NEG_INFINITY;
+    const NORM_LANES: usize = 8;
 
     #[inline]
     fn from_f64(v: f64) -> Self {

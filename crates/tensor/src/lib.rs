@@ -39,5 +39,5 @@ pub use ops::{
     outer_product,
 };
 pub use pool::{maxpool2d_backward, maxpool2d_forward, PoolDims};
-pub use simd::{kernel_backend, set_force_scalar};
+pub use simd::{kernel_backend, set_force_scalar, simd_enabled};
 pub use tensor::Tensor;

@@ -55,8 +55,10 @@ fn has_simd() -> bool {
     })
 }
 
-/// Whether the dispatched gemm entry points will take the SIMD path.
-pub(crate) fn simd_enabled() -> bool {
+/// Whether the dispatched kernels will take the SIMD path: the hardware has
+/// it and neither `DPAUDIT_FORCE_SCALAR` nor [`set_force_scalar`] pins the
+/// scalar code.
+pub fn simd_enabled() -> bool {
     has_simd() && !env_force_scalar() && !FORCE_SCALAR.load(Ordering::Relaxed)
 }
 
