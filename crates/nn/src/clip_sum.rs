@@ -82,8 +82,11 @@ impl<E: Elem> Sequential<E> {
         clip: RowClip<'_>,
         sum: &mut [f64],
     ) -> (Vec<f64>, Vec<f64>) {
-        let dim = self.param_count();
-        assert_eq!(sum.len(), dim, "clip_sum_on: sum must hold one gradient");
+        assert_eq!(
+            sum.len(),
+            self.param_count(),
+            "clip_sum_on: sum must hold one gradient"
+        );
         if let RowClip::PerLayer(bounds) = clip {
             let layers = self.param_layout().len();
             assert_eq!(
@@ -110,6 +113,7 @@ impl<E: Elem> Sequential<E> {
                 })
             })
             .collect();
+        let ranges: Vec<Range<usize>> = params.iter().map(|p| p.segment.clone()).collect();
         let batch = xs.len();
         let mut norms = Vec::with_capacity(batch);
         for start in (0..batch).step_by(GROUP) {
@@ -118,8 +122,7 @@ impl<E: Elem> Sequential<E> {
                 .iter()
                 .map(|p| Source::new(backend, p, group.clone(), batch))
                 .collect();
-            let ranges: Vec<Range<usize>> = params.iter().map(|p| p.segment.clone()).collect();
-            let group_norms = clip_sum_group(&sources, &ranges, group.len(), dim, clip, sum);
+            let group_norms = clip_sum_group(&sources, &ranges, group.len(), clip, sum);
             norms.extend_from_slice(&group_norms[..group.len()]);
         }
         (pass.losses, norms)
@@ -277,7 +280,6 @@ fn clip_sum_group<E: Elem>(
     sources: &[Source<'_, E>],
     ranges: &[Range<usize>],
     examples: usize,
-    dim: usize,
     clip: RowClip<'_>,
     sum: &mut [f64],
 ) -> [f64; GROUP] {
@@ -285,9 +287,9 @@ fn clip_sum_group<E: Elem>(
     if dpaudit_tensor::simd_enabled() {
         // SAFETY: on x86-64, `simd_enabled` is true only after runtime
         // detection has confirmed AVX2 on this CPU.
-        return unsafe { clip_sum_group_avx2(sources, ranges, examples, dim, clip, sum) };
+        return unsafe { clip_sum_group_avx2(sources, ranges, examples, clip, sum) };
     }
-    clip_sum_group_body(sources, ranges, examples, dim, clip, sum)
+    clip_sum_group_body(sources, ranges, examples, clip, sum)
 }
 
 /// [`clip_sum_group_body`] compiled for AVX2: the same operations on wider
@@ -298,11 +300,10 @@ fn clip_sum_group_avx2<E: Elem>(
     sources: &[Source<'_, E>],
     ranges: &[Range<usize>],
     examples: usize,
-    dim: usize,
     clip: RowClip<'_>,
     sum: &mut [f64],
 ) -> [f64; GROUP] {
-    clip_sum_group_body(sources, ranges, examples, dim, clip, sum)
+    clip_sum_group_body(sources, ranges, examples, clip, sum)
 }
 
 #[inline(always)]
@@ -310,11 +311,10 @@ fn clip_sum_group_body<E: Elem>(
     sources: &[Source<'_, E>],
     ranges: &[Range<usize>],
     examples: usize,
-    dim: usize,
     clip: RowClip<'_>,
     sum: &mut [f64],
 ) -> [f64; GROUP] {
-    let mut whole = SqNorms::<E>::new(dim);
+    let mut whole = SqNorms::<E>::new(sum.len());
     let mut scales = Vec::with_capacity(sources.len());
     for (layer, (source, range)) in sources.iter().zip(ranges).enumerate() {
         source.add_squares(&mut whole, range.start);
